@@ -101,6 +101,11 @@ class CharacterCache:
     def store(self, key: str, weights) -> None:
         if key in self._entries:
             return
+        self.replace(key, weights)
+
+    def replace(self, key: str, weights) -> None:
+        """Store even over an existing entry; on the next load the appended
+        line wins, since later lines override earlier ones."""
         norm = tuple((tuple(int(c) for c in w), int(m)) for w, m in weights)
         self._entries[key] = norm
         self._fresh[key] = norm

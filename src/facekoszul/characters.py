@@ -2,14 +2,17 @@
 
 Characters are finite maps weight -> integer multiplicity. Irreducible
 characters come from Freudenthal's recursion; tensor products are support
-convolutions; exterior and symmetric powers run Newton's identities on Adams
-operations; irreducible multiplicities are extracted by maximal-weight
-subtraction, cross-checkable against the signed Weyl-orbit sum.
+convolutions; exterior and symmetric powers come out of one division-free
+product pass over the weights, truncated at the wanted degree; irreducible
+multiplicities are extracted by maximal-weight subtraction, cross-checkable
+against the signed Weyl-orbit sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+from operator import add
 from types import MappingProxyType
 
 from .errors import VirtualCharacterError
@@ -107,7 +110,8 @@ _DISK = None
 
 
 def set_disk_cache(cache) -> None:
-    """Install a persistent cache with .lookup(key) and .store(key, weights)."""
+    """Install a persistent cache with .lookup(key), .store(key, weights) and
+    .replace(key, weights)."""
     global _DISK
     _DISK = cache
 
@@ -130,12 +134,12 @@ def irr_character(rs: RootSystem, lam) -> Character:
                 _DISK.store(key, [[list(w), m] for w, m in sorted(hit.mults.items())])
         return hit
     expected_dim = weyl_dim(rs, lam)
+    stored = None
     if _DISK is not None:
         stored = _DISK.lookup(character_key(rs, lam))
         if stored is not None:
-            mults = {Weight(w): int(m) for w, m in stored}
-            if sum(mults.values()) == expected_dim and mults.get(lam) == 1:
-                ch = Character(rs, mults)
+            ch = Character(rs, {Weight(w): int(m) for w, m in stored})
+            if ch.dimension == expected_dim and ch.get(lam) == 1 and is_weyl_invariant(ch):
                 _MEMO[memo_key] = ch
                 return ch
     ch = Character(rs, _freudenthal(rs, lam))
@@ -145,10 +149,9 @@ def irr_character(rs: RootSystem, lam) -> Character:
         )
     _MEMO[memo_key] = ch
     if _DISK is not None:
-        _DISK.store(
-            character_key(rs, lam),
-            [[list(w), m] for w, m in sorted(ch.mults.items())],
-        )
+        # a stored line that failed the checks above is overwritten
+        write = _DISK.store if stored is None else _DISK.replace
+        write(character_key(rs, lam), [[list(w), m] for w, m in sorted(ch.mults.items())])
     return ch
 
 
@@ -242,7 +245,7 @@ def tensor(a: Character, b: Character) -> Character:
 
 
 def adams(ch: Character, k: int) -> Character:
-    """Scale every weight by k; the power-sum input to Newton's identities."""
+    """Scale every weight by k: the Adams operation psi^k."""
     if k < 1:
         raise ValueError("Adams operations need k >= 1")
     if k == 1:
@@ -250,55 +253,49 @@ def adams(ch: Character, k: int) -> Character:
     return Character(ch.rs, {k * w: m for w, m in ch.mults.items()})
 
 
-def _convolve_into(acc: dict, a: dict, b: dict, coeff: int) -> None:
-    for w1, m1 in a.items():
-        c1 = coeff * m1
-        for w2, m2 in b.items():
-            w = w1 + w2
-            v = acc.get(w, 0) + c1 * m2
-            if v:
-                acc[w] = v
-            else:
-                acc.pop(w, None)
+def _product_power(ch: Character, j: int, alternating: bool) -> Character:
+    """Degree-j part of prod (1 + x^w)^m (exterior) or prod (1 - x^w)^-m
+    (symmetric) over the weights w of multiplicity m, truncated at degree j.
 
-
-def _newton(ch: Character, j: int, alternating: bool) -> Character:
+    Each factor expands as sum_k C(m, k) x^(k w), resp. C(m + k - 1, k) x^(k w),
+    so every coefficient is a nonnegative integer and no division occurs. The
+    degree layers are updated from the top down, which lets each factor read the
+    lower layers as they stood before it. Keys are plain tuples until the end.
+    """
     if j < 0:
         raise ValueError("power degree must be nonnegative")
     rs = ch.rs
-    unit = {Weight.zero(rs.rank): 1}
-    if j == 0:
-        return Character(rs, unit)
+    if any(m < 0 for m in ch.mults.values()):
+        raise VirtualCharacterError("negative multiplicity in a power argument; not a character")
     if alternating and j > ch.dimension:
         return Character(rs, {})
-    powers = [None] + [dict(adams(ch, i).mults) for i in range(1, j + 1)]
-    layers: list[dict] = [unit]
-    for m in range(1, j + 1):
-        acc: dict[Weight, int] = {}
-        for i in range(1, m + 1):
-            sign = -1 if alternating and i % 2 == 0 else 1
-            _convolve_into(acc, powers[i], layers[m - i], sign)
-        layer: dict[Weight, int] = {}
-        for w, v in acc.items():
-            q, r = divmod(v, m)
-            if r:
-                raise VirtualCharacterError(
-                    f"inexact division by {m} in the power recursion; input is not a character"
-                )
-            if q:
-                layer[w] = q
-        layers.append(layer)
+    layers: list[dict] = [{(0,) * rs.rank: 1}] + [{} for _ in range(j)]
+    for w, m in ch.mults.items():
+        top = min(m, j) if alternating else j
+        terms = [
+            (k, comb(m, k) if alternating else comb(m + k - 1, k), tuple(k * c for c in w))
+            for k in range(1, top + 1)
+        ]
+        for d in range(j, 0, -1):
+            layer = layers[d]
+            get = layer.get
+            for k, coeff, shift in terms:
+                if k > d:
+                    break
+                for u, v in layers[d - k].items():
+                    key = tuple(map(add, u, shift))
+                    layer[key] = get(key, 0) + coeff * v
     return Character(rs, layers[j])
 
 
 def exterior_power(ch: Character, j: int) -> Character:
-    """Character of the j-th exterior power, via j*e_j = sum (-1)^(i-1) p_i e_(j-i)."""
-    return _newton(ch, j, alternating=True)
+    """Character of the j-th exterior power: degree j of prod (1 + x^w)^m."""
+    return _product_power(ch, j, alternating=True)
 
 
 def symmetric_power(ch: Character, j: int) -> Character:
-    """Character of the j-th symmetric power, via j*h_j = sum p_i h_(j-i)."""
-    return _newton(ch, j, alternating=False)
+    """Character of the j-th symmetric power: degree j of prod (1 - x^w)^-m."""
+    return _product_power(ch, j, alternating=False)
 
 
 def _subtract(rem: dict, sub, c: int) -> None:

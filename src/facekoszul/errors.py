@@ -12,8 +12,9 @@ class CartanDatumError(FacekoszulError, ValueError):
 class VirtualCharacterError(FacekoszulError, ArithmeticError):
     """An operation that requires an actual module character met a virtual one.
 
-    Raised on negative remainders during maximal-weight subtraction and on
-    inexact divisions inside the Newton power recursions.
+    Raised on negative remainders during maximal-weight subtraction, on
+    negative multiplicities fed to a power, and on negative net multiplicities
+    in a Brauer-Klimyk constituent sum.
     """
 
 

@@ -3,25 +3,27 @@
 Degree gaps do all the work: the Ext space between simples sitting j degrees
 apart is the invariant part of (j-th exterior power of V) tensor the source
 against the target, and graded multiplicities of simples in a projective cover
-use the symmetric power instead. Everything reduces to exact character
-computations, memoized per (module, weight, degree) triple.
+use the symmetric power instead. The simple constituents of (power of V)
+tensor V(lam) come from the Brauer-Klimyk rule: a signed sum over the power's
+weights, each shifted by lam + rho and reflected to the dominant chamber, so
+neither the tensor product nor the character of V(lam) is ever built.
+Everything is exact and memoized per (module, weight, degree, kind).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
-from .characters import (
-    decompose,
-    exterior_power,
-    irr_character,
-    module_character,
-    symmetric_power,
-    tensor,
+from .characters import exterior_power, module_character, symmetric_power
+from .errors import (
+    IncomparableError,
+    NotIntervalClosedError,
+    VirtualCharacterError,
+    WitnessSearchError,
 )
-from .errors import IncomparableError, NotIntervalClosedError, WitnessSearchError
 from .facegeom import FaceSubset, WeightSystem
-from .rootsystem import Weight
+from .rootsystem import Weight, to_dominant_signed
 from .weightposet import GradedSet, GradedWeight, covers, face_distance
 
 __all__ = [
@@ -47,11 +49,31 @@ def _power_char(ws: WeightSystem, j: int, kind: str):
 
 @lru_cache(maxsize=None)
 def _constituents(ws: WeightSystem, lam: Weight, j: int, kind: str) -> dict:
-    """Simple constituents of (power of V) tensor V(lam), as weight -> multiplicity."""
-    power = _power_char(ws, j, kind)
-    if not power:
-        return {}
-    return dict(decompose(tensor(power, irr_character(ws.rs, lam))))
+    """Simple constituents of (power of V) tensor V(lam), as weight -> multiplicity.
+
+    Brauer-Klimyk: each weight mu of the power, with multiplicity m, adds
+    sign * m at dom - rho, where dom is the dominant representative of
+    mu + lam + rho reached by a word of that sign; singular shifts add nothing.
+    """
+    if not lam.is_dominant:
+        raise ValueError(f"highest weight {tuple(lam)} is not dominant")
+    rs = ws.rs
+    shift = lam + rs.rho
+    acc: dict[Weight, int] = {}  # keyed by dom, i.e. nu + rho
+    for mu, m in _power_char(ws, j, kind).mults.items():
+        dom, sign, singular = to_dominant_signed(rs, map(add, mu, shift))
+        if not singular:
+            acc[dom] = acc.get(dom, 0) + sign * m
+    out = {}
+    for dom, c in acc.items():
+        nu = dom - rs.rho
+        if c < 0:
+            raise VirtualCharacterError(
+                f"negative net multiplicity {c} at {tuple(nu)}; the power is not a character"
+            )
+        if c:
+            out[nu] = c
+    return out
 
 
 def ext_dim(ws: WeightSystem, p: GradedWeight, q: GradedWeight) -> int:

@@ -237,8 +237,13 @@ def verify_koszul_numerical(face: FaceSubset, gamma: GradedSet, workers: int = 1
     report with passed=False means the exact polynomial identity failed, which
     contradicts the theorem and therefore flags an implementation bug.
     """
-    he = hilbert_yoneda_neg(face, gamma, workers)
-    hb = hilbert_projective(face, gamma, workers)
+    return _product_verdict(
+        hilbert_yoneda_neg(face, gamma, workers), hilbert_projective(face, gamma, workers)
+    )
+
+
+def _product_verdict(he: PolyMatrix, hb: PolyMatrix) -> KoszulVerdict:
+    """Demand he * hb == identity exactly; name the first entry that differs."""
     prod = he.matmul(hb)
     n = len(prod.index)
     for i in range(n):
@@ -309,7 +314,7 @@ def full_report(
         )
     he = hilbert_yoneda_neg(face, gamma, workers)
     hb = hilbert_projective(face, gamma, workers)
-    verdict = verify_koszul_numerical(face, gamma, workers)
+    verdict = _product_verdict(he, hb)
     witness = None
     if with_witness:
         k, nu = witness_search(face, max_k=max_k)

@@ -36,7 +36,7 @@ class Weight(tuple):
     __slots__ = ()
 
     def __new__(cls, coords):
-        return super().__new__(cls, (int(c) for c in coords))
+        return super().__new__(cls, map(int, coords))
 
     def __add__(self, other):
         return Weight(a + b for a, b in zip(self, other, strict=True))
@@ -410,13 +410,16 @@ def to_dominant_signed(rs: RootSystem, lam) -> tuple[Weight, int, bool]:
     Returns (dominant, sign, singular); singular means the orbit meets a
     chamber wall, i.e. some coordinate of the dominant representative is 0.
     """
-    cur = Weight(lam)
+    cur = [int(c) for c in lam]
+    simple = rs.simple_roots
     sign = 1
     while True:
-        i = next((k for k, c in enumerate(cur) if c < 0), None)
-        if i is None:
-            return cur, sign, any(c == 0 for c in cur)
-        cur = cur - cur[i] * rs.simple_roots[i]
+        for i, c in enumerate(cur):
+            if c < 0:
+                break
+        else:
+            return Weight(cur), sign, 0 in cur
+        cur = [x - c * a for x, a in zip(cur, simple[i])]
         sign = -sign
 
 

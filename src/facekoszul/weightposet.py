@@ -9,6 +9,7 @@ nonnegative span into a bounded dynamic program.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import FaceCertificateError, IncomparableError
 from .facegeom import FaceSubset, WeightSystem
@@ -79,20 +80,44 @@ _DP: dict[tuple, bool] = {}
 
 
 def _decomposable(delta: Weight, steps: int, gens: tuple[Weight, ...]) -> bool:
-    """Can delta be written as a sum of exactly `steps` generators (with repetition)?"""
+    """Can delta be written as a sum of exactly `steps` generators (with repetition)?
+
+    A depth-first search with an explicit stack, so the depth is not bounded by
+    the interpreter's recursion limit. A node (delta, steps) fails at once when
+    delta leaves the box steps * [min, max] of the generator coordinates;
+    otherwise its children delta - g are tried in generator order until one
+    succeeds, and the node's value is memoized in _DP.
+    """
     if steps == 0:
         return not any(delta)
-    for i, d in enumerate(delta):
-        lo = steps * min(g[i] for g in gens)
-        hi = steps * max(g[i] for g in gens)
-        if not lo <= d <= hi:
-            return False
-    key = (delta, steps, gens)
-    hit = _DP.get(key)
-    if hit is None:
-        hit = any(_decomposable(delta - g, steps - 1, gens) for g in gens)
-        _DP[key] = hit
-    return hit
+    bounds = [(min(g[i] for g in gens), max(g[i] for g in gens)) for i in range(len(delta))]
+
+    def settled(d, s):
+        """The value of node (d, s) if known without expanding it, else None."""
+        if s == 0:
+            return not any(d)
+        for x, (lo, hi) in zip(d, bounds):
+            if not s * lo <= x <= s * hi:
+                return False
+        return _DP.get((d, s, gens))
+
+    value = settled(delta, steps)
+    if value is not None:
+        return value
+    stack = [[tuple(delta), steps, 0]]  # node plus the index of its next child
+    while stack:
+        frame = stack[-1]
+        d, s, i = frame
+        if value or i == len(gens):
+            _DP[(d, s, gens)] = value = bool(value)
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        child = tuple(map(sub, d, gens[i]))
+        value = settled(child, s - 1)
+        if value is None:
+            stack.append([child, s - 1, 0])
+    return value
 
 
 def face_distance(face: FaceSubset, mu, nu) -> int | None:

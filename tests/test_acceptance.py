@@ -6,6 +6,7 @@ Each criterion prints one PASS line with its evidence (visible with -s); an
 assertion failure is the corresponding FAIL.
 """
 
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -14,6 +15,7 @@ from oracles import expand_power_bruteforce
 
 from facekoszul import (
     GradedWeight,
+    ModuleSpec,
     Poly,
     Weight,
     directedness_check,
@@ -30,8 +32,10 @@ from facekoszul import (
     root_system,
     symmetric_power,
     exterior_power,
+    full_report,
     tensor,
     verify_koszul_numerical,
+    weight_system,
     weyl_dim,
     witness_search,
 )
@@ -314,4 +318,45 @@ def test_criterion_8_determinism(tmp_path, capsys):
         8,
         "determinism",
         f"byte-identical JSON ({len(first)} bytes) across repeat runs and 1 vs 4 workers",
+    )
+
+
+# The 4-weight facet of the A3 adjoint polytope, on a 19-point interval: the
+# rank-3 regime where the constituent layer does real work.
+A3_FACET = ((-2, 1, 0), (-1, -1, 1), (-1, 1, 1), (0, -1, 2))
+A3_FACET_CLI = [
+    "koszul",
+    "A3",
+    "adjoint",
+    "--face=" + ";".join(",".join(map(str, w)) for w in A3_FACET),
+    "--lo=6,3,1@0",
+    "--hi=2,3,5@4",
+]
+# sha256 of that command's --json stdout (3878 bytes), as first produced by
+# the tensor-product-and-subtraction constituent path
+A3_FACET_SHA256 = "42d8ab7a56864abb60af51f27ac59d17f33fa5d3d14460c47f10dfdf85bc47bb"
+
+
+def test_criterion_9_rank3_facet(tmp_path, capsys):
+    rs = root_system("A3")
+    ws = weight_system(rs, ModuleSpec(((Weight((1, 0, 1)), 1),)))
+    face = lies_on_proper_face(ws, [Weight(w) for w in A3_FACET])
+    assert face is not None
+    gamma = face_interval(
+        face, GradedWeight(Weight((6, 3, 1)), 0), GradedWeight(Weight((2, 3, 5)), 4)
+    )
+    assert len(gamma) == 19
+    rep = full_report(face, gamma)
+    assert rep.verdict.passed
+    assert rep.total_mult == 4
+    assert rep.gldim_value == 4
+
+    code = main(["--cache-dir", str(tmp_path / "cache"), "--json", *A3_FACET_CLI])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == A3_FACET_SHA256
+    _report(
+        9,
+        "rank-3 facet",
+        f"19 points, identity holds, gldim 4 = total_mult; JSON ({len(out)} bytes) unchanged",
     )

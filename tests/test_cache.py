@@ -13,6 +13,7 @@ from facekoszul.cache import (
     default_cache_dir,
 )
 from facekoszul.characters import character_key, set_disk_cache
+from facekoszul.cli import main
 
 
 @pytest.fixture()
@@ -128,3 +129,50 @@ def test_default_cache_dir_env(monkeypatch, tmp_path):
     monkeypatch.delenv("FACEKOSZUL_CACHE_DIR")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert default_cache_dir() == tmp_path / "xdg" / "facekoszul"
+
+
+def _tamper_a2_adjoint(path, true_mults):
+    """Write the A2 1,1 line with one unit of multiplicity moved from (0,0) to
+    (1,-2): dimension and top multiplicity still match, W-invariance fails."""
+    bad = dict(true_mults)
+    bad[(0, 0)] -= 1
+    bad[(1, -2)] += 1
+    rs = root_system("A2")
+    entry = CacheEntry(character_key(rs, Weight((1, 1))), tuple(sorted(bad.items())))
+    path.write_text(entry.to_json_line() + "\n")
+
+
+def test_tampered_line_is_recomputed_and_written_back(tmp_path, isolated_memo, capsys):
+    rs = root_system("A2")
+    true_mults = {tuple(w): m for w, m in irr_character(rs, Weight((1, 1))).mults.items()}
+    path = tmp_path / "characters.jsonl"
+    key = character_key(rs, Weight((1, 1)))
+
+    _tamper_a2_adjoint(path, true_mults)
+    characters._MEMO.clear()
+    code = main(["--cache-dir", str(tmp_path), "--json", "character", "A2", "1,1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["dimension"] == 8
+    assert {tuple(w): m for w, m in out["weights"]} == true_mults
+    # the recomputed line was appended and wins on the next load
+    assert dict(CharacterCache(tmp_path).lookup(key)) == true_mults
+
+    _tamper_a2_adjoint(path, true_mults)
+    characters._MEMO.clear()
+    args = ["koszul", "A2", "adjoint", "--face=2,-1;1,1", "--lo=0,0@0", "--hi=3,0@2"]
+    code = main(["--cache-dir", str(tmp_path), *args])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "PASS" in captured.out
+    assert dict(CharacterCache(tmp_path).lookup(key)) == true_mults
+
+
+def test_replace_overrides_and_appends(tmp_path):
+    cache = CharacterCache(tmp_path)
+    cache.store("a", (((0,), 1),))
+    cache.flush()
+    cache.replace("a", (((0,), 2),))
+    assert cache.lookup("a") == (((0,), 2),)
+    assert cache.flush() == 1
+    assert CharacterCache(tmp_path).lookup("a") == (((0,), 2),)

@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+import facekoszul.weightposet as weightposet
 from facekoszul import (
     FaceSubset,
     GradedSet,
@@ -18,6 +20,7 @@ from facekoszul import (
     is_interval_closed,
     lies_on_proper_face,
 )
+from facekoszul.cli import main
 from facekoszul.errors import FaceCertificateError, IncomparableError
 
 
@@ -226,3 +229,19 @@ def test_face_graded_order_laws_on_sampled_triples(a2_edge):
         assert face_graded_leq(a2_edge, q, r)
         assert face_graded_leq(a2_edge, p, r)
         transitive += 1
+
+
+def test_face_distance_deep_chain_from_cold_memo(a1_vertex, monkeypatch):
+    # 2000 steps: far past the interpreter's recursion limit
+    monkeypatch.setattr(weightposet, "_DP", {})
+    assert face_distance(a1_vertex, Weight((0,)), Weight((4000,))) == 2000
+    assert face_distance(a1_vertex, Weight((0,)), Weight((4001,))) is None
+
+
+def test_cli_deep_interval_exits_zero(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(weightposet, "_DP", {})
+    args = ["interval", "A1", "adjoint", "--face", "2", "--lo", "0@0", "--hi", "4000@2000"]
+    code = main(["--cache-dir", str(tmp_path), "--json", *args])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert len(json.loads(captured.out)["points"]) == 2001
