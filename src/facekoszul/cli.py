@@ -36,6 +36,9 @@ EXIT_INTERVAL = 3
 EXIT_RIGID = 4
 
 _TYPE_RE = re.compile(r"^([A-Ga-g])(\d+)$")
+# argparse takes '-1,2' for an option flag (only '-1' or '-1.5' pass as numbers)
+_WEIGHT_OPTIONS = ("--face", "--lo", "--hi", "--lower", "--gamma", "--down-from")
+_NEGATIVE_RE = re.compile(r"^-\d")
 
 
 class CliParseError(ValueError):
@@ -382,9 +385,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite '--face -1,2' as '--face=-1,2' so argparse reads the value."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _WEIGHT_OPTIONS and _NEGATIVE_RE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_bind_negative_values(argv))
     except SystemExit as exc:  # argparse reports usage errors via SystemExit
         return int(exc.code or 0)
     cache = None

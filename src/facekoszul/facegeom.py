@@ -2,9 +2,10 @@
 
 Whether a subset of wt(V) lies on a proper face is decided by a rational
 linear program: a functional equal to 1 on the subset and at most 1 on all of
-wt(V). Feasibility runs through Fourier-Motzkin elimination over Fractions,
-and back-substitution produces a concrete certificate which is re-verified by
-direct evaluation. The combinatorial counterpart (length-rigidity of weight
+wt(V). Feasibility runs through exact Fourier-Motzkin elimination, with each
+stage pruned to one row per primitive integer direction and the tightest
+right-hand side; back-substitution produces a concrete certificate which is
+re-verified by direct evaluation. The combinatorial counterpart (length-rigidity of weight
 decompositions) is checked by bounded exhaustive enumeration, so the two
 characterizations can be played against each other in tests.
 """
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import gcd, lcm
 
 from .characters import ModuleSpec, module_character
 from .errors import GuardLimitError
@@ -108,12 +110,16 @@ def _pairing_row(rs: RootSystem, beta) -> tuple[Fraction, ...]:
     return tuple(sum(rs.form[i][j] * beta[j] for j in range(n)) for i in range(n))
 
 
-def _solve_equalities(eqs: list[tuple[tuple[Fraction, ...], Fraction]], n: int):
-    """Exact affine solve: returns (particular, nullspace basis) or None if inconsistent."""
-    rows = [list(c) + [Fraction(r)] for c, r in eqs]
+def _rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Fraction Gauss-Jordan on the first ncols columns; later columns ride along.
+
+    Returns the reduced rows and the pivot columns in the order found; the
+    rows past the pivots are zero in the first ncols columns.
+    """
+    rows = [list(row) for row in rows]
     pivots: list[int] = []
-    rank = 0
-    for col in range(n):
+    for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
@@ -125,47 +131,88 @@ def _solve_equalities(eqs: list[tuple[tuple[Fraction, ...], Fraction]], n: int):
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][n] != 0:
-            return None
-    free = [c for c in range(n) if c not in pivots]
-    particular = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        particular[col] = rows[r][n]
+    return rows, pivots
+
+
+def _nullspace(rows, pivots: list[int], n: int) -> list[list[Fraction]]:
+    """Null-space basis of a matrix reduced by `_rref`, one vector per free column."""
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -rows[r][fc]
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[fc]
         basis.append(vec)
-    return particular, basis
+    return basis
+
+
+def _solve_equalities(eqs: list[tuple[tuple[Fraction, ...], Fraction]], n: int):
+    """Exact affine solve: returns (particular, nullspace basis) or None if inconsistent."""
+    rows, pivots = _rref([list(c) + [Fraction(r)] for c, r in eqs], n)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return None
+    particular = [Fraction(0)] * n
+    for row, col in zip(rows, pivots):
+        particular[col] = row[n]
+    return particular, _nullspace(rows, pivots, n)
+
+
+def _primitive_rows(rows) -> dict[tuple[int, ...], Fraction] | None:
+    """One row per primitive integer direction, keeping the tightest rhs.
+
+    `rows` are (integer coeffs, rhs) for coeffs . y <= rhs; dividing a row by
+    the gcd of its coefficients leaves its half-space as it is. All-zero rows
+    are dropped, and None reports one with a negative rhs (infeasible).
+    """
+    out: dict[tuple[int, ...], Fraction] = {}
+    for coeffs, rhs in rows:
+        g = gcd(*coeffs)
+        if g == 0:
+            if rhs < 0:
+                return None
+            continue
+        key = tuple(c // g for c in coeffs)
+        bound = rhs / g
+        if key not in out or bound < out[key]:
+            out[key] = bound
+    return out
 
 
 def _fm_feasible_point(ineqs: list[tuple[list[Fraction], Fraction]], n: int):
-    """Fourier-Motzkin feasibility for coeffs . y <= rhs; returns a point or None."""
-    cur = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in ineqs]
-    stages: list[list[tuple[list[Fraction], Fraction]]] = []
+    """Fourier-Motzkin feasibility for coeffs . y <= rhs; returns a point or None.
+
+    Each stage is pruned to primitive directions with the tightest rhs. A
+    positive multiple of a row is the same half-space, and a looser row with
+    the same direction only yields looser combinations, so every stage keeps
+    the same (direction, tightest rhs) pairs as unpruned elimination and the
+    back-substituted point is the same.
+    """
+    scaled = []
+    for coeffs, rhs in ineqs:
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        scaled.append(([c.numerator * (den // c.denominator) for c in coeffs], Fraction(rhs) * den))
+    cur = _primitive_rows(scaled)
+    stages: list[dict[tuple[int, ...], Fraction]] = []
     for v in range(n - 1, -1, -1):
+        if cur is None:
+            return None
         stages.append(cur)
-        pos = [row for row in cur if row[0][v] > 0]
-        neg = [row for row in cur if row[0][v] < 0]
-        nxt = [row for row in cur if row[0][v] == 0]
+        pos = [row for row in cur.items() if row[0][v] > 0]
+        neg = [row for row in cur.items() if row[0][v] < 0]
+        nxt = [row for row in cur.items() if row[0][v] == 0]
         for pc, pr in pos:
             for nc, nr in neg:
                 a, b = -nc[v], pc[v]
-                coeffs = [a * x + b * y for x, y in zip(pc, nc)]
-                nxt.append((coeffs, a * pr + b * nr))
-        cur = nxt
-    for coeffs, rhs in cur:
-        if rhs < 0:
-            return None
+                nxt.append(([a * x + b * y for x, y in zip(pc, nc)], a * pr + b * nr))
+        cur = _primitive_rows(nxt)
+    if cur is None:
+        return None
     point = [Fraction(0)] * n
     for v in range(n):
         lower = None
         upper = None
-        for coeffs, rhs in stages[n - 1 - v]:
+        for coeffs, rhs in stages[n - 1 - v].items():
             cv = coeffs[v]
             if cv == 0:
                 continue
@@ -316,33 +363,6 @@ def is_rigid_bruteforce(ws: WeightSystem, subset, bound: int) -> RigidityVerdict
 # Exact convex-hull face enumeration at small rank.
 
 
-def _nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -mat[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def _affine_coords(pts: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
     """Coordinates of pts inside their own affine hull (first point at 0)."""
     base = pts[0]
@@ -375,16 +395,7 @@ def _affine_coords(pts: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]
 
 def _invert_square(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     m = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(mat)]
-    for col in range(m):
-        pivot = next(r for r in range(col, m) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    aug, _ = _rref([list(row) + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(mat)], m)
     return [row[m:] for row in aug]
 
 
@@ -398,7 +409,7 @@ def _proper_faces(coords: dict, members: tuple) -> set[frozenset]:
     facets: set[frozenset] = set()
     for combo in combinations(range(len(members)), m):
         rows = [list(local[i]) + [Fraction(-1)] for i in combo]
-        basis = _nullspace(rows, m + 1)
+        basis = _nullspace(*_rref(rows, m + 1), m + 1)
         if len(basis) != 1:
             continue
         normal, offset = basis[0][:m], basis[0][m]

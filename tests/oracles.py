@@ -1,5 +1,6 @@
 """Independent brute-force oracles shared by the unit and acceptance tests."""
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from facekoszul import Character, Weight, adams, decompose, irr_character, tensor
@@ -53,3 +54,45 @@ def constituents_by_subtraction(power, lam):
     if not power:
         return {}
     return dict(decompose(tensor(power, irr_character(power.rs, lam))))
+
+
+def fm_feasible_point_unpruned(ineqs, n):
+    """Fourier-Motzkin feasibility for coeffs . y <= rhs with no row pruning:
+    every stage keeps every combination, scaled copies and looser rows too."""
+    cur = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in ineqs]
+    stages = []
+    for v in range(n - 1, -1, -1):
+        stages.append(cur)
+        pos = [row for row in cur if row[0][v] > 0]
+        neg = [row for row in cur if row[0][v] < 0]
+        nxt = [row for row in cur if row[0][v] == 0]
+        for pc, pr in pos:
+            for nc, nr in neg:
+                a, b = -nc[v], pc[v]
+                coeffs = [a * x + b * y for x, y in zip(pc, nc)]
+                nxt.append((coeffs, a * pr + b * nr))
+        cur = nxt
+    for coeffs, rhs in cur:
+        if rhs < 0:
+            return None
+    point = [Fraction(0)] * n
+    for v in range(n):
+        lower = None
+        upper = None
+        for coeffs, rhs in stages[n - 1 - v]:
+            cv = coeffs[v]
+            if cv == 0:
+                continue
+            rest = sum(coeffs[j] * point[j] for j in range(v))
+            bound = (rhs - rest) / cv
+            if cv > 0:
+                upper = bound if upper is None or bound < upper else upper
+            else:
+                lower = bound if lower is None or bound > lower else lower
+        if lower is not None and upper is not None:
+            point[v] = (lower + upper) / 2
+        elif lower is not None:
+            point[v] = lower
+        elif upper is not None:
+            point[v] = upper
+    return point

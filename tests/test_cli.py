@@ -205,6 +205,24 @@ def test_rigid_agreement(run):
     assert obj["witness"] is not None
 
 
+def test_negative_values_after_a_space(run, capsys):
+    spaced = run("--json", "rigid", "A2", "adjoint", "--face", "-1,2", "--bound", "1")
+    joined = run("--json", "rigid", "A2", "adjoint", "--face=-1,2", "--bound", "1")
+    assert spaced == joined
+    assert json.loads(spaced)["face"]
+    # the point reaches the parser, which names the real problem
+    code = main(["--no-cache", "interval", "A2", "adjoint", "--face", "-1,2",
+                 "--lo", "-1,2@0", "--hi", "0,3@1"])
+    assert code == 2
+    assert "dominant" in capsys.readouterr().err
+
+
+def test_rigid_a5_highest_root(run):
+    obj = _json(run, "rigid", "A5", "adjoint", "--face=1,0,0,0,1", "--bound", "1")
+    assert obj["face"] is True
+    assert obj["functional"] == ["1/2", "0", "0", "0", "1/2"]
+
+
 def test_interval_and_downset(run):
     obj = _json(run, "interval", "A2", "adjoint", "--face", "2,-1;1,1",
                 "--lo", "0,0@0", "--hi", "3,0@2")

@@ -12,6 +12,7 @@ from facekoszul import (
     root_system,
     weight_system,
 )
+from facekoszul.cli import _adjoint_spec
 from facekoszul.errors import GuardLimitError
 
 
@@ -159,3 +160,26 @@ def test_every_vertex_appears_in_some_face(a2_adjoint, c2):
         singletons = {next(iter(f.weights)) for f in faces if len(f.weights) == 1}
         covered = set().union(*(f.weights for f in faces))
         assert singletons <= covered
+
+
+# Single weights whose face LP took seconds to minutes under unpruned
+# Fourier-Motzkin elimination; the functionals are those it returns.
+@pytest.mark.parametrize(
+    "name,weight,functional",
+    [
+        ("A5", (1, 0, 0, 0, 1), ("1/2", "0", "0", "0", "1/2")),
+        ("F4", (1, 0, -1, 0), ("1/2", "0", "-1/2", "0")),
+        ("B4", (0, 0, 1, -2), ("0", "0", "1/2", "-1")),
+        ("B4", (-2, 1, 0, 0), ("-1/2", "1/4", "0", "0")),
+        ("C4", (0, 0, -2, 2), ("0", "0", "-1/2", "1/2")),
+        ("C4", (-1, -1, 1, 0), ("-1/2", "-1/2", "1/2", "0")),
+    ],
+)
+def test_single_weight_faces_past_the_fm_blowup(name, weight, functional):
+    rs = root_system(name)
+    ws = weight_system(rs, _adjoint_spec(rs))
+    face = lies_on_proper_face(ws, [Weight(weight)])
+    assert face is not None
+    assert face.functional == tuple(Fraction(x) for x in functional)
+    assert face.pair(Weight(weight)) == 1
+    assert all(face.pair(b) <= 1 for b in ws.weights)

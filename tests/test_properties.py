@@ -1,29 +1,40 @@
-"""Property tests: the fast constituent and power paths against the old ones.
+"""Property tests: the fast constituent, power and face-LP paths against the old ones.
 
 The old paths live in tests/oracles.py: powers by Newton's identities on Adams
-operations, and constituents by building the tensor product with V(lam) and
-peeling off maximal weights. Brauer-Klimyk constituents and the product-pass
-powers must agree with them exactly.
+operations, constituents by building the tensor product with V(lam) and
+peeling off maximal weights, and Fourier-Motzkin elimination without row
+pruning. Brauer-Klimyk constituents, the product-pass powers and the pruned
+face LP must agree with them exactly.
 """
 
 from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import constituents_by_subtraction, expand_power_bruteforce, newton_power
+from oracles import (
+    constituents_by_subtraction,
+    expand_power_bruteforce,
+    fm_feasible_point_unpruned,
+    newton_power,
+)
 
+import facekoszul.facegeom as facegeom
 import facekoszul.homdims as homdims
 from facekoszul import (
     Character,
     ModuleSpec,
     Weight,
     exterior_power,
+    is_rigid_bruteforce,
+    lies_on_proper_face,
     module_character,
     root_system,
     symmetric_power,
     weight_system,
 )
+from facekoszul.cli import _adjoint_spec
 from facekoszul.errors import VirtualCharacterError
 
 TYPES = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3")
@@ -86,3 +97,40 @@ def test_brauer_klimyk_rejects_a_non_character(monkeypatch):
     monkeypatch.setattr(homdims, "_power_char", lambda *args: lowest)
     with pytest.raises(VirtualCharacterError):
         homdims._constituents.__wrapped__(ws, Weight((0,)), 1, "ext")
+
+
+# The adjoints of LP_TYPES, and the A2 module V(omega_1) + V(omega_2).
+LP_TYPES = ("A2", "A3", "B2", "B3", "C3", "G2")
+
+
+@lru_cache(maxsize=None)
+def _lp_weight_system(index):
+    if index == len(LP_TYPES):
+        rs = _rs("A2")
+        return weight_system(rs, ModuleSpec(((Weight((1, 0)), 1), (Weight((0, 1)), 1))))
+    rs = _rs(LP_TYPES[index])
+    return weight_system(rs, _adjoint_spec(rs))
+
+
+@PROPERTY
+@given(data=st.data(), index=st.integers(0, len(LP_TYPES)))
+def test_face_lp_matches_unpruned_elimination_and_rigidity(data, index):
+    ws = _lp_weight_system(index)
+    weights = st.sampled_from(sorted(ws.weights))
+    subset = data.draw(st.lists(weights, min_size=1, max_size=3, unique=True))
+    face = lies_on_proper_face(ws, subset)
+    with patch.object(facegeom, "_fm_feasible_point", fm_feasible_point_unpruned):
+        oracle = lies_on_proper_face(ws, subset)
+    assert (face is None) == (oracle is None)
+    if face is None:
+        return
+    assert face.functional == oracle.functional
+    # The weights where the functional is 1 are rigid. The subset itself can
+    # only fail by a tie against a decomposition that stays on that face.
+    exposed = [b for b in ws.weights if face.pair(b) == 1]
+    assert is_rigid_bruteforce(ws, exposed, 3).ok
+    verdict = is_rigid_bruteforce(ws, subset, 3)
+    if not verdict.ok:
+        inside, outside = verdict.witness
+        assert sum(inside.values()) == sum(outside.values())
+        assert all(face.pair(w) == 1 for w in outside)
