@@ -33,7 +33,6 @@ from .homdims import (
 from .koszulcheck import (
     KoszulReport,
     KoszulVerdict,
-    Poly,
     PolyMatrix,
     full_report,
     hilbert_projective,

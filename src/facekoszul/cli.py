@@ -25,7 +25,7 @@ from .errors import (
 )
 from .facegeom import enumerate_face_subsets, is_rigid_bruteforce, lies_on_proper_face, weight_system
 from .homdims import gldim, witness_search
-from .koszulcheck import full_report
+from .koszulcheck import full_report, render_monomial
 from .rootsystem import Weight, build_root_system, datum_from_json, root_system
 from .weightposet import GradedSet, GradedWeight, face_downset, face_interval
 
@@ -239,7 +239,14 @@ def cmd_rigid(args):
             "subset_decomposition": [[list(w), m] for w, m in sorted(inside.items())],
             "other_decomposition": [[list(w), m] for w, m in sorted(outside.items())],
         }
-    consistent = not (face is not None and not verdict.ok)
+    # The LP certifies any subset of a face, while the brute force calls a tie
+    # against a weight that stays on the face a violation; so a certified face
+    # is checked for rigidity on its exposed set {w : <xi, w> = 1}.
+    consistent = face is None or verdict.ok
+    if face is not None:
+        exposed = {w for w in ws.weights if face.pair(w) == 1}
+        if exposed != face.weights:
+            consistent = is_rigid_bruteforce(ws, exposed, args.bound).ok
     obj = {
         "face": face is not None,
         "functional": None if face is None else [str(x) for x in face.functional],
@@ -303,9 +310,7 @@ def cmd_koszul(args):
     ws = weight_system(rs, _parse_module(args.module, rs))
     face = _require_face(ws, _parse_subset(args.face, rs.rank), args.bound)
     gs = _build_gamma(face, args)
-    report = full_report(
-        face, gs, with_witness=args.witness, max_k=args.max_k, workers=args.workers
-    )
+    report = full_report(face, gs, with_witness=args.witness, max_k=args.max_k)
     obj = report.to_json_obj()
     lines = [
         f"gamma: {len(gs)} points; total_mult = {report.total_mult}; gldim = {report.gldim_value}",
@@ -313,9 +318,8 @@ def cmd_koszul(args):
     ]
     if report.verdict.offending is not None:
         row, col, residual = report.verdict.offending
-        lines.append(
-            f"  offending entry ({_fmt_point(row)}, {_fmt_point(col)}): residual {residual.render()}"
-        )
+        text = render_monomial(residual, row.degree - col.degree)
+        lines.append(f"  offending entry ({_fmt_point(row)}, {_fmt_point(col)}): residual {text}")
     if report.witness is not None:
         w = report.witness
         lines.append(
@@ -348,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
     p.add_argument("--max-depth", type=int, default=6, help="depth bound for downsets")
     p.add_argument("--max-k", type=int, default=6, help="search bound for the witness weight")
-    p.add_argument("--workers", type=int, default=1, help="threads for matrix entries")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, *, module=False, face=False, gamma=False, help=""):

@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 from .characters import ModuleSpec, module_character
 from .errors import GuardLimitError
-from .rootsystem import RootSystem, Weight
+from .rootsystem import RootSystem, Weight, _rref
 
 __all__ = [
     "WeightSystem",
@@ -108,30 +108,6 @@ def _pairing_row(rs: RootSystem, beta) -> tuple[Fraction, ...]:
     """Row r with <xi, beta> = r . xi for xi in omega coordinates."""
     n = rs.rank
     return tuple(sum(rs.form[i][j] * beta[j] for j in range(n)) for i in range(n))
-
-
-def _rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Fraction Gauss-Jordan on the first ncols columns; later columns ride along.
-
-    Returns the reduced rows and the pivot columns in the order found; the
-    rows past the pivots are zero in the first ncols columns.
-    """
-    rows = [list(row) for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return rows, pivots
 
 
 def _nullspace(rows, pivots: list[int], n: int) -> list[list[Fraction]]:
@@ -364,39 +340,15 @@ def is_rigid_bruteforce(ws: WeightSystem, subset, bound: int) -> RigidityVerdict
 
 
 def _affine_coords(pts: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
-    """Coordinates of pts inside their own affine hull (first point at 0)."""
+    """Coordinates of pts inside their own affine hull (first point at 0).
+
+    The differences p - pts[0] are the columns of one matrix. Its pivot columns
+    are the basis (each difference independent of the earlier ones), and its
+    reduced pivot rows hold every difference's coordinates in that basis.
+    """
     base = pts[0]
-    vecs = [[p[i] - base[i] for i in range(len(base))] for p in pts]
-    basis: list[list[Fraction]] = []
-    pivot_rows: list[int] = []
-    work: list[list[Fraction]] = []
-    for v in vecs:
-        cand = v[:]
-        for b, pr in zip(work, pivot_rows):
-            if cand[pr] != 0:
-                f = cand[pr] / b[pr]
-                cand = [x - f * y for x, y in zip(cand, b)]
-        pr = next((i for i, x in enumerate(cand) if x != 0), None)
-        if pr is not None:
-            work.append(cand)
-            pivot_rows.append(pr)
-            basis.append(v)
-    m = len(basis)
-    if m == 0:
-        return [()] * len(pts)
-    square = [[basis[j][pivot_rows[i]] for j in range(m)] for i in range(m)]
-    inv = _invert_square(square)
-    out = []
-    for v in vecs:
-        rhs = [v[pr] for pr in pivot_rows]
-        out.append(tuple(sum(inv[i][j] * rhs[j] for j in range(m)) for i in range(m)))
-    return out
-
-
-def _invert_square(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    m = len(mat)
-    aug, _ = _rref([list(row) + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(mat)], m)
-    return [row[m:] for row in aug]
+    rows, pivots = _rref([[p[i] - base[i] for p in pts] for i in range(len(base))], len(pts))
+    return [tuple(row[k] for row in rows[: len(pivots)]) for k in range(len(pts))]
 
 
 def _proper_faces(coords: dict, members: tuple) -> set[frozenset]:

@@ -66,22 +66,40 @@ class Weight(tuple):
         return cls((0,) * rank)
 
 
-def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
-    n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Fraction Gauss-Jordan on the first ncols columns; later columns ride along.
+
+    The package's one exact-elimination kernel: inverses here, affine solves,
+    null spaces and hull coordinates in facegeom. Returns the reduced rows and
+    the pivot columns in the order found; the rows past the pivots are zero in
+    the first ncols columns.
+    """
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
-            raise CartanDatumError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse: `_rref` of [mat | I]; raises on singular input."""
+    n = len(mat)
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows, pivots = _rref([list(row) + unit for row, unit in zip(mat, identity)], n)
+    if len(pivots) < n:
+        raise CartanDatumError("singular matrix")
+    return [row[n:] for row in rows]
 
 
 def _leading_minors_positive(sym: list[list[int]]) -> bool:
@@ -273,7 +291,7 @@ def datum_from_json(obj) -> CartanDatum:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Immutable root-system data; safe to share across workers.
+    """Immutable root-system data.
 
     `form` is the Weyl-invariant inner product on h* in omega coordinates;
     `form_int` is the same matrix rescaled to integers (scale cancels in every

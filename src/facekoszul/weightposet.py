@@ -167,32 +167,30 @@ def face_graded_leq(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> bool:
     return d is not None and d == q.degree - p.degree
 
 
-def _interval_points(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> set[GradedWeight]:
-    """Dominant points between p and q in the face order, by pruned layer BFS.
+def _layered_points(p: GradedWeight, q: GradedWeight, gens, reaches) -> set[GradedWeight]:
+    """Dominant points on the paths from p up to q in steps from gens, by pruned layer BFS.
 
     Layers walk through possibly non-dominant weights (they are legitimate
-    stepping stones); only dominant ones become points. Pruning keeps a layer
-    weight only if the remaining distance to the top matches, which preserves
-    every path: predecessors of valid weights are valid.
+    stepping stones); only dominant ones become points. `reaches(w, k)` says
+    whether q.weight is k steps above w, and a layer keeps a weight only if
+    the top is still reachable in the remaining steps, which preserves every
+    path: predecessors of valid weights are valid.
     """
     d = q.degree - p.degree
     out: set[GradedWeight] = set()
     layer = {p.weight}
     for k in range(d + 1):
-        for w in layer:
-            if w.is_dominant:
-                out.add(GradedWeight(w, p.degree + k))
+        out.update(GradedWeight(w, p.degree + k) for w in layer if w.is_dominant)
         if k == d:
             break
-        nxt = set()
         remaining = d - k - 1
-        for w in layer:
-            for g in face.gens:
-                cand = w + g
-                if cand not in nxt and face_distance(face, cand, q.weight) == remaining:
-                    nxt.add(cand)
-        layer = nxt
+        layer = {w for w in {u + g for u in layer for g in gens} if reaches(w, remaining)}
     return out
+
+
+def _interval_points(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> set[GradedWeight]:
+    """Dominant points between p and q in the face order."""
+    return _layered_points(p, q, face.gens, lambda w, k: face_distance(face, w, q.weight) == k)
 
 
 def face_interval(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> GradedSet:
@@ -232,29 +230,13 @@ def is_interval_closed(face: FaceSubset, points) -> bool:
 def interval_coincidence(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> bool:
     """Compare the face interval with the coarse interval between the same endpoints.
 
-    The coarse interval is enumerated independently, stepping through all
-    weights of V with the same layer pruning. Equality is a theorem for
-    certified face subsets, so False flags an implementation bug.
+    The coarse interval runs the same layered BFS, but steps through all
+    weights of V and prunes by coarse reachability, with no face certificate
+    involved. Equality is a theorem for certified face subsets, so False
+    flags an implementation bug.
     """
     if not face_graded_leq(face, p, q):
         raise IncomparableError(f"{p} and {q} are not comparable in the face order")
-    fine = _interval_points(face, p, q)
     gens = _all_gens(face.ws)
-    d = q.degree - p.degree
-    coarse: set[GradedWeight] = set()
-    layer = {p.weight}
-    for k in range(d + 1):
-        for w in layer:
-            if w.is_dominant:
-                coarse.add(GradedWeight(w, p.degree + k))
-        if k == d:
-            break
-        remaining = d - k - 1
-        nxt = set()
-        for w in layer:
-            for g in gens:
-                cand = w + g
-                if cand not in nxt and _decomposable(q.weight - cand, remaining, gens):
-                    nxt.add(cand)
-        layer = nxt
-    return fine == coarse
+    coarse = _layered_points(p, q, gens, lambda w, k: _decomposable(q.weight - w, k, gens))
+    return _interval_points(face, p, q) == coarse

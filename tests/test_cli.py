@@ -223,6 +223,17 @@ def test_rigid_a5_highest_root(run):
     assert obj["functional"] == ["1/2", "0", "0", "0", "1/2"]
 
 
+def test_rigid_face_subset_consistent(run):
+    # A long root and the short midpoint of a B2 edge, without the other long
+    # root: a face subset whose brute force ties against that other root, which
+    # stays on the face. Consistency is judged on the exposed set.
+    obj = _json(run, "rigid", "B2", "adjoint", "--face=-2,2;-1,0", "--bound", "3")
+    assert obj["face"] is True and obj["functional"] == ["-1/2", "0"]
+    assert obj["rigid_within_bound"] is False
+    assert obj["witness"]["other_decomposition"] == [[[-2, 2], 1], [[0, -2], 1]]
+    assert obj["consistent"] is True
+
+
 def test_interval_and_downset(run):
     obj = _json(run, "interval", "A2", "adjoint", "--face", "2,-1;1,1",
                 "--lo", "0,0@0", "--hi", "3,0@2")
@@ -285,13 +296,16 @@ def test_koszul_non_face_exit_4(run, capsys):
     assert "counterexample" in err
 
 
-def test_reports_deterministic_across_runs_and_workers(run):
+def test_reports_deterministic_across_runs(run):
     args = ("koszul", "A2", "adjoint", "--face", "2,-1;1,1",
             "--lo", "0,0@0", "--hi", "3,0@2", "--witness")
     first = run("--json", *args)
     second = run("--json", *args)
-    threaded = run("--workers", "4", "--json", *args)
-    assert first == second == threaded
+    assert first == second
+
+
+def test_workers_flag_removed(run):
+    run("--workers", "4", "roots", "A1", expect=2)
 
 
 def test_cache_file_written_and_reused(run, tmp_path):

@@ -1,9 +1,11 @@
+import json
+
 import pytest
 
 from facekoszul import (
     GradedSet,
     GradedWeight,
-    Poly,
+    PolyMatrix,
     Weight,
     face_interval,
     full_report,
@@ -12,8 +14,10 @@ from facekoszul import (
     lies_on_proper_face,
     verify_koszul_numerical,
 )
+from facekoszul import koszulcheck
+from facekoszul.cli import main
 from facekoszul.errors import NotIntervalClosedError
-from facekoszul.koszulcheck import P_ONE, P_ZERO
+from facekoszul.koszulcheck import _product_verdict, render_monomial
 
 
 @pytest.fixture()
@@ -31,55 +35,24 @@ def a1_chain(a1_vertex):
     return face_interval(a1_vertex, GradedWeight(Weight((0,)), 0), GradedWeight(Weight((4,)), 2))
 
 
-def T(*coeffs):
-    return Poly(coeffs)
-
-
-def test_poly_arithmetic():
-    t = T(0, 1)
-    assert t * t == T(0, 0, 1)
-    assert t + t == T(0, 2)
-    assert t - t == P_ZERO
-    assert (t * t - t * t) == P_ZERO
-    assert Poly.monomial(3, 2) == T(0, 0, 3)
-    assert Poly.monomial(0, 5) == P_ZERO
-    assert (T(1, 2) * T(1, 1)) == T(1, 3, 2)
-    assert 2 * t == T(0, 2)
-    assert T(0, 0, 1).degree == 2
-    assert T(1, -1).render() == "1 - t"
-    assert P_ZERO.render() == "0"
-
-
 def test_hilbert_singleton(a1_vertex):
     gs = GradedSet.build(a1_vertex, [GradedWeight(Weight((0,)), 0)])
     hb = hilbert_projective(a1_vertex, gs)
     he = hilbert_yoneda_neg(a1_vertex, gs)
-    assert hb.entries == ((P_ONE,),) and he.entries == ((P_ONE,),)
+    assert hb.entries == ((1,),) and he.entries == ((1,),)
     assert verify_koszul_numerical(a1_vertex, gs).passed
 
 
 def test_hand_checked_three_by_three(a1_vertex, a1_chain):
     hb = hilbert_projective(a1_vertex, a1_chain)
     he = hilbert_yoneda_neg(a1_vertex, a1_chain)
-    t, t2 = T(0, 1), T(0, 0, 1)
-    assert hb.entries == (
-        (P_ONE, P_ZERO, P_ZERO),
-        (t, P_ONE, P_ZERO),
-        (t2, t, P_ONE),
-    )
-    assert he.entries == (
-        (P_ONE, P_ZERO, P_ZERO),
-        (-t, P_ONE, P_ZERO),
-        (P_ZERO, -t, P_ONE),
-    )
+    # entry (i, j) is the coefficient of t^(deg_i - deg_j)
+    assert hb.entries == ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+    assert he.entries == ((1, 0, 0), (-1, 1, 0), (0, -1, 1))
     # corner of the product: 0*1 + (-t)*t + 1*t^2 = 0
-    parts = [
-        he.entries[2][0] * hb.entries[0][0],
-        he.entries[2][1] * hb.entries[1][0],
-        he.entries[2][2] * hb.entries[2][0],
-    ]
-    assert parts == [P_ZERO, T(0, 0, -1), T(0, 0, 1)]
-    assert parts[0] + parts[1] + parts[2] == P_ZERO
+    parts = [he.entries[2][k] * hb.entries[k][0] for k in range(3)]
+    assert parts == [0, -1, 1]
+    assert sum(parts) == 0
     assert verify_koszul_numerical(a1_vertex, a1_chain).passed
 
 
@@ -87,15 +60,15 @@ def test_matrices_unitriangular_with_nonneg_and_sign_patterns(a2_edge):
     iv = face_interval(a2_edge, GradedWeight(Weight((0, 0)), 0), GradedWeight(Weight((6, 0)), 4))
     hb = hilbert_projective(a2_edge, iv)
     he = hilbert_yoneda_neg(a2_edge, iv)
-    assert hb.is_unitriangular() and he.is_unitriangular()
-    for row in hb.entries:
-        for e in row:
-            assert all(c >= 0 for c in e)
+    for m in (hb, he):
+        assert all(m.entries[i][i] == 1 for i in range(len(iv)))
+        assert not any(c for i, row in enumerate(m.entries) for c in row[i + 1:])
+    assert all(c >= 0 for row in hb.entries for c in row)
+    deg = [p.degree for p in he.index]
     for i, row in enumerate(he.entries):
-        for e in row:
-            for gap, c in enumerate(e):
-                if c:
-                    assert (c > 0) == (gap % 2 == 0)
+        for j, c in enumerate(row):
+            if c:
+                assert (c > 0) == ((deg[i] - deg[j]) % 2 == 0)
     assert verify_koszul_numerical(a2_edge, iv).passed
 
 
@@ -107,10 +80,10 @@ def test_matmul_accumulation_order_invariance(a2_edge):
     n = len(prod.index)
     for i in range(n):
         for j in range(n):
-            fwd = P_ZERO
+            fwd = 0
             for k in range(n):
                 fwd = fwd + he.entries[i][k] * hb.entries[k][j]
-            rev = P_ZERO
+            rev = 0
             for k in reversed(range(n)):
                 rev = rev + he.entries[i][k] * hb.entries[k][j]
             assert fwd == rev == prod.entries[i][j]
@@ -127,13 +100,6 @@ def test_linear_extension_ordering(a2_edge):
     hb = hilbert_projective(a2_edge, iv)
     degrees = [p.degree for p in hb.index]
     assert degrees == sorted(degrees)
-
-
-def test_workers_bit_identical(a2_edge):
-    iv = face_interval(a2_edge, GradedWeight(Weight((0, 0)), 0), GradedWeight(Weight((4, 1)), 3))
-    assert hilbert_projective(a2_edge, iv, workers=1) == hilbert_projective(a2_edge, iv, workers=4)
-    assert hilbert_yoneda_neg(a2_edge, iv, workers=1) == hilbert_yoneda_neg(a2_edge, iv, workers=4)
-    assert verify_koszul_numerical(a2_edge, iv, workers=4).passed
 
 
 def test_precondition_errors_are_not_fail_verdicts(a1_vertex):
@@ -177,5 +143,65 @@ def test_polymatrix_entry_lookup(a1_vertex, a1_chain):
     hb = hilbert_projective(a1_vertex, a1_chain)
     p0 = GradedWeight(Weight((0,)), 0)
     p2 = GradedWeight(Weight((4,)), 2)
-    assert hb.entry(p2, p0) == Poly((0, 0, 1))
-    assert hb.entry(p0, p2) == P_ZERO
+    i2, i0 = hb.index.index(p2), hb.index.index(p0)
+    assert hb.entries[i2][i0] == 1
+    assert hb.entries[i0][i2] == 0
+    assert hb.to_json_obj()["entries"][i2][i0] == [0, 0, 1]
+    assert hb.to_json_obj()["entries"][i0][i2] == []
+
+
+def _perturbed(hb, i, j, c):
+    rows = [list(row) for row in hb.entries]
+    rows[i][j] += c
+    return PolyMatrix(hb.index, tuple(map(tuple, rows)))
+
+
+# (row, col, change) of one Hom entry, and the residual the product check
+# reports: its first differing entry, as JSON and as the CLI renders it.
+FAIL_CASES = [
+    (5, 0, 2, [[6, 0], 4], [[0, 0], 0], [0, 0, 0, 0, 2], "2*t^4"),
+    (3, 3, -1, [[2, 2], 2], [[2, 2], 2], [-1], "-1"),
+    (5, 1, -1, [[6, 0], 4], [[1, 1], 1], [0, 0, 0, -1], "-t^3"),
+]
+
+
+@pytest.mark.parametrize("i, j, change, row, col, residual, text", FAIL_CASES)
+def test_perturbed_hom_matrix_fails_with_residual(a2_edge, i, j, change, row, col, residual, text):
+    iv = face_interval(a2_edge, GradedWeight(Weight((0, 0)), 0), GradedWeight(Weight((6, 0)), 4))
+    he = hilbert_yoneda_neg(a2_edge, iv)
+    hb = hilbert_projective(a2_edge, iv)
+    assert len(iv) == 6
+    verdict = _product_verdict(he, _perturbed(hb, i, j, change))
+    assert verdict.to_json_obj() == {
+        "passed": False,
+        "size": 6,
+        "offending": {"row": row, "col": col, "residual": residual},
+    }
+    p, q, r = verdict.offending
+    assert render_monomial(r, p.degree - q.degree) == text
+
+
+def test_render_monomial():
+    assert [render_monomial(c, d) for c, d in [(1, 1), (-1, 1), (3, 0), (0, 2), (-2, 5)]] == [
+        "t", "-t", "3", "0", "-2*t^5"
+    ]
+
+
+def test_cli_reports_fail_with_residual(a2_edge, monkeypatch, capsys):
+    build = koszulcheck.hilbert_projective
+
+    def broken(face, gamma):
+        hb = build(face, gamma)
+        return _perturbed(hb, len(hb.index) - 1, 0, 2)
+
+    monkeypatch.setattr(koszulcheck, "hilbert_projective", broken)
+    argv = ["--no-cache", "koszul", "A2", "adjoint", "--face=2,-1;1,1", "--lo=0,0@0", "--hi=6,0@4"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "gamma: 6 points; total_mult = 2; gldim = 2",
+        "Koszul numerical identity: FAIL",
+        "  offending entry ((6,0)@4, (0,0)@0): residual 2*t^4",
+    ]
+    assert main(["--json", *argv]) == 1
+    bad = json.loads(capsys.readouterr().out)["koszul"]["offending"]
+    assert bad == {"row": [[6, 0], 4], "col": [[0, 0], 0], "residual": [0, 0, 0, 0, 2]}
