@@ -226,40 +226,42 @@ def cmd_faces(args):
     return EXIT_OK, obj, lines
 
 
+def _witness_json(verdict):
+    if verdict.ok:
+        return None
+    names = ("subset_decomposition", "other_decomposition")
+    return {k: [[list(w), m] for w, m in sorted(d.items())] for k, d in zip(names, verdict.witness)}
+
+
 def cmd_rigid(args):
     rs = _load_root_system(args.type)
     ws = weight_system(rs, _parse_module(args.module, rs))
     subset = _parse_subset(args.face, rs.rank)
     face = lies_on_proper_face(ws, subset)
     verdict = is_rigid_bruteforce(ws, subset, args.bound)
-    witness = None
-    if verdict.witness is not None:
-        inside, outside = verdict.witness
-        witness = {
-            "subset_decomposition": [[list(w), m] for w, m in sorted(inside.items())],
-            "other_decomposition": [[list(w), m] for w, m in sorted(outside.items())],
-        }
+    checks = [("rigidity brute force", verdict)]
     # The LP certifies any subset of a face, while the brute force calls a tie
     # against a weight that stays on the face a violation; so a certified face
     # is checked for rigidity on its exposed set {w : <xi, w> = 1}.
-    consistent = face is None or verdict.ok
     if face is not None:
-        exposed = {w for w in ws.weights if face.pair(w) == 1}
-        if exposed != face.weights:
-            consistent = is_rigid_bruteforce(ws, exposed, args.bound).ok
+        exposed = sorted(w for w in ws.weights if face.pair(w) == 1)
+        if set(exposed) != face.weights:
+            members = ", ".join(f"({_fmt_weight(w)})" for w in exposed)
+            exposed_verdict = is_rigid_bruteforce(ws, exposed, args.bound)
+            checks.append((f"exposed set {{{members}}}", exposed_verdict))
+    consistent = face is None or checks[-1][1].ok
     obj = {
         "face": face is not None,
         "functional": None if face is None else [str(x) for x in face.functional],
         "rigid_within_bound": verdict.ok,
         "bound": args.bound,
-        "witness": witness,
+        "witness": _witness_json(verdict),
         "consistent": consistent,
     }
-    lines = [
-        f"face test: {'accepted' if face is not None else 'rejected'}",
-        f"rigidity brute force (bound {args.bound}): "
-        + ("no violation" if verdict.ok else f"violation {witness}"),
-    ]
+    lines = [f"face test: {'accepted' if face is not None else 'rejected'}"]
+    for name, v in checks:
+        result = "no violation" if v.ok else f"violation {_witness_json(v)}"
+        lines.append(f"{name} (bound {args.bound}): {result}")
     return (EXIT_OK if consistent else EXIT_FAIL), obj, lines
 
 

@@ -2,16 +2,18 @@
 
 Whether a subset of wt(V) lies on a proper face is decided by a rational
 linear program: a functional equal to 1 on the subset and at most 1 on all of
-wt(V). Feasibility runs through exact Fourier-Motzkin elimination, with each
-stage pruned to one row per primitive integer direction and the tightest
-right-hand side; back-substitution produces a concrete certificate which is
-re-verified by direct evaluation. The combinatorial counterpart (length-rigidity of weight
-decompositions) is checked by bounded exhaustive enumeration, so the two
-characterizations can be played against each other in tests.
+wt(V), with integer rows from the rescaled form. Exact Fourier-Motzkin
+elimination, each stage pruned to one row per primitive integer direction and
+the tightest right-hand side, yields a certificate that is re-verified through
+the rational form. Length-rigidity of weight decompositions is checked by
+bounded exhaustive enumeration, to be played against the LP in tests. Face
+enumeration takes facets from integer normals (signed minors) and lower faces
+as intersections of facets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +22,7 @@ from math import gcd, lcm
 
 from .characters import ModuleSpec, module_character
 from .errors import GuardLimitError
-from .rootsystem import RootSystem, Weight, _rref
+from .rootsystem import RootSystem, Weight, _det, _rref
 
 __all__ = [
     "WeightSystem",
@@ -104,10 +106,10 @@ def weight_system(rs: RootSystem, spec: ModuleSpec) -> WeightSystem:
     return WeightSystem(rs, spec, tuple(sorted(ch.mults.items())))
 
 
-def _pairing_row(rs: RootSystem, beta) -> tuple[Fraction, ...]:
-    """Row r with <xi, beta> = r . xi for xi in omega coordinates."""
+def _pairing_row(rs: RootSystem, beta) -> tuple[int, ...]:
+    """Row r with s <xi, beta> = r . xi (xi in omega coordinates, s = form_int / form)."""
     n = rs.rank
-    return tuple(sum(rs.form[i][j] * beta[j] for j in range(n)) for i in range(n))
+    return tuple(sum(rs.form_int[i][j] * beta[j] for j in range(n)) for i in range(n))
 
 
 def _nullspace(rows, pivots: list[int], n: int) -> list[list[Fraction]]:
@@ -122,9 +124,9 @@ def _nullspace(rows, pivots: list[int], n: int) -> list[list[Fraction]]:
     return basis
 
 
-def _solve_equalities(eqs: list[tuple[tuple[Fraction, ...], Fraction]], n: int):
+def _solve_equalities(eqs: list[tuple[tuple, Fraction]], n: int):
     """Exact affine solve: returns (particular, nullspace basis) or None if inconsistent."""
-    rows, pivots = _rref([list(c) + [Fraction(r)] for c, r in eqs], n)
+    rows, pivots = _rref([[*map(Fraction, c), Fraction(r)] for c, r in eqs], n)
     if any(row[n] != 0 for row in rows[len(pivots):]):
         return None
     particular = [Fraction(0)] * n
@@ -212,7 +214,9 @@ def lies_on_proper_face(ws: WeightSystem, subset) -> FaceSubset | None:
 
     Normalizing the face value to 1 is valid because the weighted barycenter
     of wt(V) is 0, which forces a positive maximum for any supporting
-    functional and rules out the improper face wt(V) itself.
+    functional and rules out the improper face wt(V) itself. The rows are s
+    times the rational ones, so the face value is s; scaling changes neither
+    the echelon form nor a primitive direction, hence nor the functional.
     """
     rs = ws.rs
     members = frozenset(Weight(w) for w in subset)
@@ -222,8 +226,9 @@ def lies_on_proper_face(ws: WeightSystem, subset) -> FaceSubset | None:
     if any(w not in wts for w in members):
         raise ValueError("face subset must be contained in wt(V)")
     n = rs.rank
+    s = rs.form_int[0][0] / rs.form[0][0]
     rows = {beta: _pairing_row(rs, beta) for beta in wts}
-    solved = _solve_equalities([(rows[p], Fraction(1)) for p in sorted(members)], n)
+    solved = _solve_equalities([(rows[p], s) for p in sorted(members)], n)
     if solved is None:
         return None
     particular, basis = solved
@@ -234,14 +239,14 @@ def lies_on_proper_face(ws: WeightSystem, subset) -> FaceSubset | None:
             row = rows[b]
             shift = sum(r * p for r, p in zip(row, particular))
             coeffs = [sum(r * v for r, v in zip(row, vec)) for vec in basis]
-            ineqs.append((coeffs, Fraction(1) - shift))
+            ineqs.append((coeffs, s - shift))
         y = _fm_feasible_point(ineqs, len(basis))
         if y is None:
             return None
         xi = [p + sum(vec[i] * yi for vec, yi in zip(basis, y)) for i, p in enumerate(particular)]
     else:
         xi = particular
-        if any(sum(r * x for r, x in zip(rows[b], xi)) > 1 for b in others):
+        if any(sum(r * x for r, x in zip(rows[b], xi)) > s for b in others):
             return None
     functional = tuple(xi)
     face = FaceSubset(
@@ -298,13 +303,6 @@ def _decompositions_by_sum(ws: WeightSystem, bound: int):
     return groups
 
 
-def _counts(combo) -> dict:
-    out: dict[Weight, int] = {}
-    for w in combo:
-        out[w] = out.get(w, 0) + 1
-    return out
-
-
 def is_rigid_bruteforce(ws: WeightSystem, subset, bound: int) -> RigidityVerdict:
     """Exhaustively search for a length-rigidity violation up to the bound.
 
@@ -332,7 +330,7 @@ def is_rigid_bruteforce(ws: WeightSystem, subset, bound: int) -> RigidityVerdict
         mk, mcombo = best
         for k, combo, mask in group:
             if k < mk or (k == mk and mask | inside != inside):
-                return RigidityVerdict(False, (_counts(mcombo), _counts(combo)))
+                return RigidityVerdict(False, (Counter(mcombo), Counter(combo)))
     return RigidityVerdict(True)
 
 
@@ -351,29 +349,41 @@ def _affine_coords(pts: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]
     return [tuple(row[k] for row in rows[: len(pivots)]) for k in range(len(pts))]
 
 
-def _proper_faces(coords: dict, members: tuple) -> set[frozenset]:
-    """All proper nonempty faces of conv(members), as sets of member labels."""
-    pts = [coords[i] for i in members]
-    local = _affine_coords(pts)
+def _proper_faces(pts: list) -> set[frozenset]:
+    """All proper nonempty faces of conv(pts), as sets of the points on them.
+
+    In integer coordinates inside the affine hull (dimension m), m affinely
+    independent points span the hyperplane whose normal is the vector of
+    signed (m-1)x(m-1) minors of their differences; it supports a facet when
+    every point lies on one side. Subsets inside a known facet span that facet
+    again and are skipped. Every proper face is the intersection of the facets
+    that contain it, so the lower faces are the nonempty intersections.
+    """
+    local = _affine_coords([tuple(map(Fraction, p)) for p in pts])
+    den = lcm(*(x.denominator for p in local for x in p))
+    local = [tuple(int(x * den) for x in p) for p in local]
     m = len(local[0])
     if m == 0:
         return set()
-    facets: set[frozenset] = set()
-    for combo in combinations(range(len(members)), m):
-        rows = [list(local[i]) + [Fraction(-1)] for i in combo]
-        basis = _nullspace(*_rref(rows, m + 1), m + 1)
-        if len(basis) != 1:
+    facets: list[int] = []
+    for combo in combinations(range(len(pts)), m):
+        bits = sum(1 << i for i in combo)
+        if any(bits & f == bits for f in facets):
             continue
-        normal, offset = basis[0][:m], basis[0][m]
-        vals = [sum(a * x for a, x in zip(normal, p)) - offset for p in local]
-        if all(v <= 0 for v in vals) or all(v >= 0 for v in vals):
-            facets.add(frozenset(members[i] for i, v in enumerate(vals) if v == 0))
-    faces: set[frozenset] = set()
-    for facet in facets:
-        if facet not in faces:
-            faces.add(facet)
-            faces |= _proper_faces(coords, tuple(sorted(facet)))
-    return faces
+        base = local[combo[0]]
+        diffs = [[a - b for a, b in zip(local[i], base)] for i in combo[1:]]
+        normal = [(-1) ** j * _det([d[:j] + d[j + 1 :] for d in diffs]) for j in range(m)]
+        if not any(normal):
+            continue
+        vals = [sum(a * (x - b) for a, x, b in zip(normal, p, base)) for p in local]
+        if min(vals) >= 0 or max(vals) <= 0:
+            facets.append(sum(1 << i for i, v in enumerate(vals) if v == 0))
+    faces = set(facets)
+    fresh = faces
+    while fresh:
+        fresh = {f & g for f in fresh for g in facets} - faces - {0}
+        faces |= fresh
+    return {frozenset(p for i, p in enumerate(pts) if f >> i & 1) for f in faces}
 
 
 def enumerate_face_subsets(ws: WeightSystem) -> list[FaceSubset]:
@@ -387,9 +397,7 @@ def enumerate_face_subsets(ws: WeightSystem) -> list[FaceSubset]:
         raise GuardLimitError(f"face enumeration guarded to rank <= 4, got {rs.rank}")
     if len(ws.weights) > 64:
         raise GuardLimitError(f"face enumeration guarded to |wt(V)| <= 64, got {len(ws.weights)}")
-    pts = sorted(ws.weights)
-    coords = {w: tuple(Fraction(c) for c in w) for w in pts}
-    face_sets = _proper_faces(coords, tuple(pts))
+    face_sets = _proper_faces(sorted(ws.weights))
     out = []
     for s in sorted(face_sets, key=lambda f: (len(f), sorted(f))):
         face = lies_on_proper_face(ws, s)

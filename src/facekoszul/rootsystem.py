@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import CartanDatumError
 
@@ -102,29 +103,31 @@ def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in rows]
 
 
+def _det(mat) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free elimination.
+
+    Every division is exact, so the entries stay integers throughout.
+    """
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
 def _leading_minors_positive(sym: list[list[int]]) -> bool:
     """Sylvester criterion on an integer symmetric matrix, exactly."""
-    n = len(sym)
-    for k in range(1, n + 1):
-        sub = [[Fraction(sym[i][j]) for j in range(k)] for i in range(k)]
-        det = Fraction(1)
-        rows = [row[:] for row in sub]
-        for col in range(k):
-            pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
-            if pivot is None:
-                return False
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = -det
-            det *= rows[col][col]
-            inv = 1 / rows[col][col]
-            for r in range(col + 1, k):
-                if rows[r][col] != 0:
-                    f = rows[r][col] * inv
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        if det <= 0:
-            return False
-    return True
+    return all(_det([row[:k] for row in sym[:k]]) > 0 for k in range(1, len(sym) + 1))
 
 
 def _minimal_symmetrizer(cartan: list[list[int]]) -> list[int]:
@@ -149,21 +152,10 @@ def _minimal_symmetrizer(cartan: list[list[int]]) -> list[int]:
                     stack.append(j)
                 elif ratio[j] != want:
                     raise CartanDatumError("Cartan matrix is not symmetrizable")
-    dens = [r.denominator for r in ratio]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // _gcd(lcm, d)
-    ints = [int(r * lcm) for r in ratio]
-    g = 0
-    for v in ints:
-        g = _gcd(g, v)
+    den = lcm(*(r.denominator for r in ratio))
+    ints = [int(r * den) for r in ratio]
+    g = gcd(*ints)
     return [v // g for v in ints]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 @dataclass(frozen=True)
@@ -354,10 +346,7 @@ def build_root_system(datum: CartanDatum) -> RootSystem:
     form = tuple(
         tuple(datum.symmetrizer[i] * inv_cartan[i][j] for j in range(n)) for i in range(n)
     )
-    den = 1
-    for row in form:
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+    den = lcm(*(x.denominator for row in form for x in row))
     form_int = tuple(tuple(int(x * den) for x in row) for row in form)
     for i in range(n):
         for j in range(i):

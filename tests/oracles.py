@@ -5,6 +5,8 @@ from itertools import combinations, combinations_with_replacement
 
 from facekoszul import Character, Weight, adams, decompose, irr_character, tensor
 from facekoszul.errors import VirtualCharacterError
+from facekoszul.facegeom import _affine_coords, _nullspace, _solve_equalities
+from facekoszul.rootsystem import _rref
 
 
 def expand_power_bruteforce(ch, j, kind):
@@ -96,3 +98,60 @@ def fm_feasible_point_unpruned(ineqs, n):
         elif upper is not None:
             point[v] = upper
     return point
+
+
+def face_functional_fraction_rows(ws, subset):
+    """The face LP with rational pairing rows from `rs.form`: r . xi = 1 on the
+    subset and r . xi <= 1 on the other weights, solved by unpruned
+    elimination. Returns the functional, or None when infeasible."""
+    rs, n = ws.rs, ws.rs.rank
+    rows = {b: [sum(rs.form[i][j] * b[j] for j in range(n)) for i in range(n)] for b in ws.weights}
+    members = sorted({Weight(w) for w in subset})
+    solved = _solve_equalities([(rows[p], Fraction(1)) for p in members], n)
+    if solved is None:
+        return None
+    particular, basis = solved
+    others = [b for b in sorted(ws.weights) if b not in members]
+    if not basis:
+        if any(sum(r * x for r, x in zip(rows[b], particular)) > 1 for b in others):
+            return None
+        return tuple(particular)
+    ineqs = []
+    for b in others:
+        shift = sum(r * p for r, p in zip(rows[b], particular))
+        coeffs = [sum(r * v for r, v in zip(rows[b], vec)) for vec in basis]
+        ineqs.append((coeffs, 1 - shift))
+    y = fm_feasible_point_unpruned(ineqs, len(basis))
+    if y is None:
+        return None
+    return tuple(
+        p + sum(vec[i] * yi for vec, yi in zip(basis, y)) for i, p in enumerate(particular)
+    )
+
+
+def proper_faces_recursive(coords, members):
+    """All proper nonempty faces of conv(members), as sets of member labels:
+    the facets from a null-space normal per rank-sized subset of affine
+    coordinates, then the faces of each facet, recursively. `coords` maps each
+    label to a tuple of Fractions."""
+    pts = [coords[i] for i in members]
+    local = _affine_coords(pts)
+    m = len(local[0])
+    if m == 0:
+        return set()
+    facets = set()
+    for combo in combinations(range(len(members)), m):
+        rows = [list(local[i]) + [Fraction(-1)] for i in combo]
+        basis = _nullspace(*_rref(rows, m + 1), m + 1)
+        if len(basis) != 1:
+            continue
+        normal, offset = basis[0][:m], basis[0][m]
+        vals = [sum(a * x for a, x in zip(normal, p)) - offset for p in local]
+        if all(v <= 0 for v in vals) or all(v >= 0 for v in vals):
+            facets.add(frozenset(members[i] for i, v in enumerate(vals) if v == 0))
+    faces = set()
+    for facet in facets:
+        if facet not in faces:
+            faces.add(facet)
+            faces |= proper_faces_recursive(coords, tuple(sorted(facet)))
+    return faces

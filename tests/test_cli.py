@@ -234,6 +234,20 @@ def test_rigid_face_subset_consistent(run):
     assert obj["consistent"] is True
 
 
+def test_rigid_text_names_the_exposed_set(run):
+    # The text report explains the exit 0 despite the subset's violation line.
+    out = run("rigid", "B2", "adjoint", "--face=-2,2;-1,0", "--bound", "3")
+    assert out.splitlines() == [
+        "face test: accepted",
+        "rigidity brute force (bound 3): violation {'subset_decomposition': [[[-1, 0], 2]], "
+        "'other_decomposition': [[[-2, 2], 1], [[0, -2], 1]]}",
+        "exposed set {(-2,2), (-1,0), (0,-2)} (bound 3): no violation",
+    ]
+    # a subset that is its face's whole exposed set gets no extra line
+    out = run("rigid", "A2", "adjoint", "--face", "2,-1;1,1")
+    assert "exposed set" not in out
+
+
 def test_interval_and_downset(run):
     obj = _json(run, "interval", "A2", "adjoint", "--face", "2,-1;1,1",
                 "--lo", "0,0@0", "--hi", "3,0@2")

@@ -3,9 +3,13 @@ from itertools import combinations
 
 import pytest
 
+from oracles import proper_faces_recursive
+
 from facekoszul import (
     ModuleSpec,
     Weight,
+    build_root_system,
+    datum_from_json,
     enumerate_face_subsets,
     is_rigid_bruteforce,
     lies_on_proper_face,
@@ -14,6 +18,8 @@ from facekoszul import (
 )
 from facekoszul.cli import _adjoint_spec
 from facekoszul.errors import GuardLimitError
+from facekoszul.facegeom import _proper_faces
+from facekoszul.rootsystem import _rref
 
 
 def test_weight_system_a1_adjoint(a1, a1_adjoint):
@@ -183,3 +189,57 @@ def test_single_weight_faces_past_the_fm_blowup(name, weight, functional):
     assert face.functional == tuple(Fraction(x) for x in functional)
     assert face.pair(Weight(weight)) == 1
     assert all(face.pair(b) <= 1 for b in ws.weights)
+
+
+def _module(rs, *highest):
+    return weight_system(rs, ModuleSpec(tuple((Weight(w), 1) for w in highest)))
+
+
+# Reducible custom data whose weight polytopes are not full-dimensional in the
+# ambient space of the rank: the A1xA1 square V(1,1) and the A2xA1 triangle
+# V(1,0,0) in R^3.
+A1A1 = build_root_system(datum_from_json({"rank": 2, "cartan": [[2, 0], [0, 2]]}))
+A2A1 = build_root_system(
+    datum_from_json({"rank": 3, "cartan": [[2, -1, 0], [-1, 2, 0], [0, 0, 2]]})
+)
+HULL_CASES = {
+    **{f"{t} adjoint": (lambda t=t: weight_system(root_system(t), _adjoint_spec(root_system(t))))
+       for t in ("A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "G2")},
+    "A2 1,0+0,1": lambda: _module(root_system("A2"), (1, 0), (0, 1)),
+    "A3 1,0,0": lambda: _module(root_system("A3"), (1, 0, 0)),
+    "B3 0,0,1": lambda: _module(root_system("B3"), (0, 0, 1)),
+    "C3 0,1,0": lambda: _module(root_system("C3"), (0, 1, 0)),
+    "A3 1,0,1+0,1,0": lambda: _module(root_system("A3"), (1, 0, 1), (0, 1, 0)),
+    "A1xA1 1,1": lambda: _module(A1A1, (1, 1)),
+    "A2xA1 1,0,0": lambda: _module(A2A1, (1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HULL_CASES))
+def test_hull_matches_recursive_oracle(name):
+    ws = HULL_CASES[name]()
+    pts = sorted(ws.weights)
+    faces = _proper_faces(pts)
+    assert faces == proper_faces_recursive({w: tuple(map(Fraction, w)) for w in pts}, tuple(pts))
+    assert {f.weights for f in enumerate_face_subsets(ws)} == faces
+
+
+def _affine_dim(points) -> int:
+    base = points[0]
+    diffs = [[Fraction(a - b) for a, b in zip(p, base)] for p in points]
+    return len(_rref(diffs, len(base))[1])
+
+
+@pytest.mark.parametrize(
+    "name,f_vector",
+    [("B4", (24, 96, 96, 24)), ("C4", (8, 24, 32, 16)), ("D4", (24, 96, 96, 24))],
+)
+def test_rank4_adjoint_faces_satisfy_euler(name, f_vector):
+    rs = root_system(name)
+    faces = enumerate_face_subsets(weight_system(rs, _adjoint_spec(rs)))
+    f = [0] * rs.rank
+    for face in faces:
+        f[_affine_dim(face.gens)] += 1
+    assert len(faces) == sum(f_vector) and tuple(f) == f_vector
+    # Euler's relation for a 4-polytope: f0 - f1 + f2 - f3 = 0
+    assert sum((-1) ** k * n for k, n in enumerate(f)) == 0

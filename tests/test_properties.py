@@ -2,13 +2,13 @@
 
 The old paths live in tests/oracles.py: powers by Newton's identities on Adams
 operations, constituents by building the tensor product with V(lam) and
-peeling off maximal weights, and Fourier-Motzkin elimination without row
-pruning. Brauer-Klimyk constituents, the product-pass powers and the pruned
-face LP must agree with them exactly.
+peeling off maximal weights, and the face LP with rational pairing rows and
+Fourier-Motzkin elimination without row pruning. Brauer-Klimyk constituents,
+the product-pass powers and the integer-row, pruned face LP must agree with
+them exactly.
 """
 
 from functools import lru_cache
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 from oracles import (
     constituents_by_subtraction,
     expand_power_bruteforce,
-    fm_feasible_point_unpruned,
+    face_functional_fraction_rows,
     newton_power,
 )
 
-import facekoszul.facegeom as facegeom
 import facekoszul.homdims as homdims
 from facekoszul import (
     Character,
@@ -119,12 +118,11 @@ def test_face_lp_matches_unpruned_elimination_and_rigidity(data, index):
     weights = st.sampled_from(sorted(ws.weights))
     subset = data.draw(st.lists(weights, min_size=1, max_size=3, unique=True))
     face = lies_on_proper_face(ws, subset)
-    with patch.object(facegeom, "_fm_feasible_point", fm_feasible_point_unpruned):
-        oracle = lies_on_proper_face(ws, subset)
+    oracle = face_functional_fraction_rows(ws, subset)
     assert (face is None) == (oracle is None)
     if face is None:
         return
-    assert face.functional == oracle.functional
+    assert face.functional == oracle
     # The weights where the functional is 1 are rigid. The subset itself can
     # only fail by a tie against a decomposition that stays on that face.
     exposed = [b for b in ws.weights if face.pair(b) == 1]

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from facekoszul import (
     weyl_dim,
 )
 from facekoszul.errors import CartanDatumError
+from facekoszul.rootsystem import _det
 
 CLASSICAL_COUNTS = {
     "A1": 1,
@@ -153,6 +155,42 @@ def test_rejects_non_finite_type():
         build_root_system(CartanDatum(2, ((2, -2), (-2, 2)), (1, 1)))
 
 
+def _fraction_det(mat):
+    """Determinant by Fraction Gaussian elimination with row swaps."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def test_bareiss_det_matches_fraction_elimination():
+    rng = random.Random(20111)
+    for n in range(9):
+        for trial in range(60):
+            # zeros are common, so pivots are often missing and rows swap
+            mat = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+            if n >= 2 and trial % 3 == 0:
+                # singular: one row becomes a combination of two others
+                i = rng.randrange(n)
+                j, k = (rng.choice([r for r in range(n) if r != i]) for _ in range(2))
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                mat[i] = [a * x + b * y for x, y in zip(mat[j], mat[k])]
+            want = _fraction_det(mat)
+            assert _det(mat) == want
+            if n >= 2 and trial % 3 == 0:
+                assert want == 0
+
+
 def test_rejects_non_symmetrizable():
     # zero pattern broken between nodes 1 and 3
     bad = {"rank": 3, "cartan": [[2, -1, 0], [-2, 2, -1], [-1, -1, 2]]}
@@ -195,8 +233,6 @@ def test_series_rank_guards():
 
 
 def test_form_positive_definite():
-    from fractions import Fraction
-
     for name in ("A2", "B2", "G2", "C3"):
         rs = root_system(name)
         n = rs.rank
