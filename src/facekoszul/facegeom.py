@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
+from operator import mul
 
 from .characters import ModuleSpec, module_character
 from .errors import GuardLimitError
@@ -70,6 +71,12 @@ class FaceSubset:
     through the invariant form, takes the value 1 on every member and at most
     1 on all of wt(V). `weight_sum` and `total_mult` are the multiplicity-
     weighted sum and the summed eigenspace dimensions over the subset.
+
+    A certified subset also carries its pairing as one integer row: with
+    `pair_den` the least common denominator of functional^T * form and
+    `pair_row` that row times `pair_den`, <functional, w> is exactly
+    dot(pair_row, w) / pair_den for every integer weight w. Both are None
+    when there is no certificate.
     """
 
     ws: WeightSystem
@@ -83,6 +90,13 @@ class FaceSubset:
         object.__setattr__(self, "gens", gens)
         members = ";".join(",".join(map(str, w)) for w in gens)
         object.__setattr__(self, "key", f"{self.ws.key}|{members}")
+        row = den = None
+        if self.functional is not None:
+            row = [Fraction(sum(map(mul, self.functional, col))) for col in zip(*self.ws.rs.form)]
+            den = lcm(*(c.denominator for c in row))
+            row = tuple(int(c * den) for c in row)
+        object.__setattr__(self, "pair_row", row)
+        object.__setattr__(self, "pair_den", den)
 
     def __hash__(self):
         return hash(self.key)
@@ -91,11 +105,10 @@ class FaceSubset:
         return isinstance(other, FaceSubset) and self.key == other.key
 
     def pair(self, w) -> Fraction:
-        """<functional, w> through the invariant form."""
+        """<functional, w> through the invariant form, by the integer pairing row."""
         if self.functional is None:
             raise ValueError("face subset has no certificate")
-        rs = self.ws.rs
-        return rs.pairing(self.functional, w)
+        return Fraction(sum(map(mul, self.pair_row, w)), self.pair_den)
 
 
 def weight_system(rs: RootSystem, spec: ModuleSpec) -> WeightSystem:

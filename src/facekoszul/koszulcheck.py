@@ -4,9 +4,11 @@ For a finite interval-closed set of graded points, the graded Hom dimensions
 between projective covers and the graded Ext dimensions between simples are
 packed into two unitriangular matrices. Entry (row, col) is nonzero only when
 col lies below row in the face order, and then it is a monomial of degree
-deg(row) - deg(col); so each matrix stores one integer per entry, and the
-product of the Ext matrix at -t with the Hom matrix at t is an integer
-product. It must be the identity. The check is exact, and a failing entry is
+deg(row) - deg(col). The points are sorted by a linear extension that puts
+lower degrees first, so only entries below the diagonal ask the face order
+(through the face's integer pairing row). Each matrix stores one integer per
+entry, and the product of the Ext matrix at -t with the Hom matrix at t is an
+integer product. It must be the identity. The check is exact, and a failing entry is
 reported as an internal inconsistency, never tolerated.
 """
 
@@ -87,7 +89,11 @@ class PolyMatrix:
 
 def _hilbert(face: FaceSubset, gamma: GradedSet, value) -> PolyMatrix:
     """Unitriangular matrix in a linear extension of gamma: entry (row, col)
-    is value(col, row) when col < row in the face order, else 0."""
+    is value(col, row) when col < row in the face order, else 0.
+
+    linear_key sorts by degree first and col < row forces deg col < deg row,
+    so every entry above the diagonal is 0 without asking the face order.
+    """
     if not gamma.interval_closed:
         raise NotIntervalClosedError("Hilbert matrices need an interval-closed set")
     if face.functional is None:
@@ -96,8 +102,8 @@ def _hilbert(face: FaceSubset, gamma: GradedSet, value) -> PolyMatrix:
     pts = tuple(sorted(gamma.points, key=lambda p: linear_key(rs, p)))
 
     def entry(i: int, j: int) -> int:
-        if i == j:
-            return 1
+        if i <= j:
+            return int(i == j)
         col, row = pts[j], pts[i]
         return value(col, row) if face_graded_leq(face, col, row) else 0
 

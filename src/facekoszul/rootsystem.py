@@ -39,11 +39,13 @@ class Weight(tuple):
     def __new__(cls, coords):
         return super().__new__(cls, map(int, coords))
 
+    # Sums and differences of ints are ints: build the tuple without the
+    # per-coordinate int() of __new__.
     def __add__(self, other):
-        return Weight(a + b for a, b in zip(self, other, strict=True))
+        return tuple.__new__(Weight, [a + b for a, b in zip(self, other, strict=True)])
 
     def __sub__(self, other):
-        return Weight(a - b for a, b in zip(self, other, strict=True))
+        return tuple.__new__(Weight, [a - b for a, b in zip(self, other, strict=True)])
 
     def __neg__(self):
         return Weight(-a for a in self)

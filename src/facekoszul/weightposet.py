@@ -3,13 +3,16 @@
 Two partial orders live here. The coarse one steps through arbitrary weights
 of V, one per degree; the fine one steps only through a face subset, where the
 certificate forces the number of steps, turning membership in the subset's
-nonnegative span into a bounded dynamic program.
+nonnegative span into a bounded dynamic program. The forced number is
+<functional, nu - mu>, evaluated in integers as one dot product with the
+face's pairing row and a divisibility test by its denominator; the face order
+compares it with the degree gap before it searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from operator import mul, sub
 
 from .errors import FaceCertificateError, IncomparableError
 from .facegeom import FaceSubset, WeightSystem
@@ -79,17 +82,21 @@ class GradedSet:
 _DP: dict[tuple, bool] = {}
 
 
-def _decomposable(delta: Weight, steps: int, gens: tuple[Weight, ...]) -> bool:
+def _decomposable(delta: tuple[int, ...], steps: int, gens: tuple[Weight, ...]) -> bool:
     """Can delta be written as a sum of exactly `steps` generators (with repetition)?
 
     A depth-first search with an explicit stack, so the depth is not bounded by
-    the interpreter's recursion limit. A node (delta, steps) fails at once when
+    the interpreter's recursion limit. A call whose (delta, steps) is already
+    in _DP returns the memoized value at once. A node (delta, steps) fails when
     delta leaves the box steps * [min, max] of the generator coordinates;
     otherwise its children delta - g are tried in generator order until one
     succeeds, and the node's value is memoized in _DP.
     """
     if steps == 0:
         return not any(delta)
+    value = _DP.get((delta, steps, gens))
+    if value is not None:
+        return value
     bounds = [(min(g[i] for g in gens), max(g[i] for g in gens)) for i in range(len(delta))]
 
     def settled(d, s):
@@ -120,6 +127,14 @@ def _decomposable(delta: Weight, steps: int, gens: tuple[Weight, ...]) -> bool:
     return value
 
 
+def _forced_length(face: FaceSubset, delta) -> int | None:
+    """<functional, delta> if it is a positive integer, else None: one integer
+    dot product with the face's pairing row and a divisibility test."""
+    num = sum(map(mul, face.pair_row, delta))
+    den = face.pair_den
+    return num // den if num > 0 and num % den == 0 else None
+
+
 def face_distance(face: FaceSubset, mu, nu) -> int | None:
     """Length of a decomposition of nu - mu in the face subset, or None.
 
@@ -128,14 +143,14 @@ def face_distance(face: FaceSubset, mu, nu) -> int | None:
     """
     if face.functional is None:
         raise FaceCertificateError("face subset carries no certificate")
-    delta = Weight(nu) - Weight(mu)
+    rank = len(face.pair_row)
+    if len(mu) != rank or len(nu) != rank:
+        raise ValueError(f"face_distance needs two weights of rank {rank}")
+    delta = tuple(map(sub, nu, mu))
     if not any(delta):
         return 0
-    val = face.pair(delta)
-    if val.denominator != 1 or val <= 0:
-        return None
-    d = int(val)
-    return d if _decomposable(delta, d, face.gens) else None
+    d = _forced_length(face, delta)
+    return d if d is not None and _decomposable(delta, d, face.gens) else None
 
 
 def face_leq(face: FaceSubset, mu, nu) -> bool:
@@ -162,9 +177,17 @@ def graded_leq(ws: WeightSystem, p: GradedWeight, q: GradedWeight) -> bool:
 
 
 def face_graded_leq(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> bool:
-    """The face-refined order: steps confined to the subset, gap forced by distance."""
-    d = face_distance(face, p.weight, q.weight)
-    return d is not None and d == q.degree - p.degree
+    """The face-refined order: steps confined to the subset, gap forced by distance.
+
+    The forced length is compared with the degree gap before any search runs.
+    """
+    if face.functional is None:
+        raise FaceCertificateError("face subset carries no certificate")
+    gap = q.degree - p.degree
+    delta = tuple(map(sub, q.weight, p.weight))
+    if not any(delta):
+        return gap == 0
+    return _forced_length(face, delta) == gap and _decomposable(delta, gap, face.gens)
 
 
 def _layered_points(p: GradedWeight, q: GradedWeight, gens, reaches) -> set[GradedWeight]:

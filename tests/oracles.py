@@ -4,9 +4,10 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from facekoszul import Character, Weight, adams, decompose, irr_character, tensor
-from facekoszul.errors import VirtualCharacterError
+from facekoszul.errors import FaceCertificateError, VirtualCharacterError
 from facekoszul.facegeom import _affine_coords, _nullspace, _solve_equalities
 from facekoszul.rootsystem import _rref
+from facekoszul.weightposet import _decomposable
 
 
 def expand_power_bruteforce(ch, j, kind):
@@ -155,3 +156,19 @@ def proper_faces_recursive(coords, members):
             faces.add(facet)
             faces |= proper_faces_recursive(coords, tuple(sorted(facet)))
     return faces
+
+
+def face_distance_fraction(face, mu, nu):
+    """Face distance with the pairing in Fraction arithmetic through
+    `rs.pairing`: <functional, nu - mu> must be a positive integer d, and then
+    nu - mu must be a sum of exactly d members of the subset."""
+    if face.functional is None:
+        raise FaceCertificateError("face subset carries no certificate")
+    delta = Weight(nu) - Weight(mu)
+    if not any(delta):
+        return 0
+    val = face.ws.rs.pairing(face.functional, delta)
+    if val.denominator != 1 or val <= 0:
+        return None
+    d = int(val)
+    return d if _decomposable(delta, d, face.gens) else None

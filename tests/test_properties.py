@@ -1,11 +1,12 @@
-"""Property tests: the fast constituent, power and face-LP paths against the old ones.
+"""Property tests: the fast constituent, power, face-LP and face-order paths against the old ones.
 
 The old paths live in tests/oracles.py: powers by Newton's identities on Adams
 operations, constituents by building the tensor product with V(lam) and
-peeling off maximal weights, and the face LP with rational pairing rows and
-Fourier-Motzkin elimination without row pruning. Brauer-Klimyk constituents,
-the product-pass powers and the integer-row, pruned face LP must agree with
-them exactly.
+peeling off maximal weights, the face LP with rational pairing rows and
+Fourier-Motzkin elimination without row pruning, and the face distance with
+its pairing in Fraction arithmetic. Brauer-Klimyk constituents, the
+product-pass powers, the integer-row, pruned face LP and the face order
+through the integer pairing row must agree with them exactly.
 """
 
 from functools import lru_cache
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import (
     constituents_by_subtraction,
     expand_power_bruteforce,
+    face_distance_fraction,
     face_functional_fraction_rows,
     newton_power,
 )
@@ -23,9 +25,13 @@ from oracles import (
 import facekoszul.homdims as homdims
 from facekoszul import (
     Character,
+    GradedWeight,
     ModuleSpec,
     Weight,
+    enumerate_face_subsets,
     exterior_power,
+    face_distance,
+    face_graded_leq,
     is_rigid_bruteforce,
     lies_on_proper_face,
     module_character,
@@ -132,3 +138,46 @@ def test_face_lp_matches_unpruned_elimination_and_rigidity(data, index):
         inside, outside = verdict.witness
         assert sum(inside.values()) == sum(outside.values())
         assert all(face.pair(w) == 1 for w in outside)
+
+
+@lru_cache(maxsize=None)
+def _lp_faces(index):
+    return enumerate_face_subsets(_lp_weight_system(index))
+
+
+@st.composite
+def certified_subsets(draw):
+    """1-3 weights of one face of an LP_TYPES module, certified by the LP."""
+    index = draw(st.integers(0, len(LP_TYPES)))
+    face = draw(st.sampled_from(_lp_faces(index)))
+    members = draw(st.lists(st.sampled_from(face.gens), min_size=1, max_size=3, unique=True))
+    return lies_on_proper_face(_lp_weight_system(index), members)
+
+
+@PROPERTY
+@given(data=st.data(), face=certified_subsets())
+def test_integer_pairing_row_matches_fraction_pairing(data, face):
+    rs = face.ws.rs
+    w = data.draw(st.tuples(*[st.integers(-20, 20)] * rs.rank))
+    assert face.pair(w) == rs.pairing(face.functional, w)
+    assert face.pair_den >= 1 and all(isinstance(c, int) for c in face.pair_row)
+
+
+@PROPERTY
+@given(data=st.data(), face=certified_subsets())
+def test_face_order_matches_fraction_oracle(data, face):
+    # mu is shifted far enough into the dominant chamber that nu stays dominant
+    # after four steps of at most 3 per coordinate and a perturbation of 1.
+    rank = face.ws.rs.rank
+    mu = Weight(data.draw(st.tuples(*[st.integers(13, 16)] * rank)))
+    steps = data.draw(st.lists(st.sampled_from(face.gens), max_size=4))
+    nu = mu
+    for g in steps:
+        nu = nu + g
+    if data.draw(st.booleans()):
+        nu = nu + Weight(data.draw(st.tuples(*[st.integers(-1, 1)] * rank)))
+    assert face_distance(face, mu, nu) == face_distance_fraction(face, mu, nu)
+    p = GradedWeight(mu, data.draw(st.integers(-2, 2)))
+    q = GradedWeight(nu, p.degree + len(steps) + data.draw(st.sampled_from((-1, 0, 0, 1))))
+    d = face_distance_fraction(face, mu, nu)
+    assert face_graded_leq(face, p, q) == (d is not None and d == q.degree - p.degree)

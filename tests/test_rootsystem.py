@@ -86,6 +86,18 @@ def test_form_is_weyl_invariant_on_random_words():
             assert rs.ip(wmu, wnu) == rs.ip(mu, nu)
 
 
+def test_weight_sum_and_difference():
+    a, b = Weight((3, -1)), Weight((1, 2))
+    for got, want in ((a + b, (4, 1)), (a - b, (2, -3)), (a + [1, 1], (4, 0)), (a - (0, 5), (3, -6))):
+        assert type(got) is Weight and got == want
+        assert all(type(x) is int for x in got)
+    for other in ((1,), (1, 2, 3), [0]):
+        with pytest.raises(ValueError):
+            a + other
+        with pytest.raises(ValueError):
+            a - other
+
+
 def test_simple_reflection_examples():
     a1 = root_system("A1")
     assert simple_reflection(a1, 1, Weight((1,))) == Weight((-1,))

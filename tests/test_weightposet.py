@@ -50,8 +50,20 @@ def test_face_distance_needs_certificate(a1_adjoint):
         weight_sum=Weight((2,)),
         total_mult=1,
     )
-    with pytest.raises(FaceCertificateError):
-        face_distance(bare, Weight((0,)), Weight((2,)))
+    assert bare.pair_row is None and bare.pair_den is None
+    for lo in (Weight((0,)), Weight((2,))):
+        with pytest.raises(FaceCertificateError):
+            face_distance(bare, lo, Weight((2,)))
+        with pytest.raises(FaceCertificateError):
+            face_graded_leq(bare, GradedWeight(lo, 0), GradedWeight(Weight((2,)), 1))
+
+
+def test_face_distance_takes_plain_sequences(a2_edge):
+    assert face_distance(a2_edge, (0, 0), [3, 0]) == 2
+    assert face_distance(a2_edge, [1, 1], (1, 1)) == 0
+    assert face_distance(a2_edge, (0, 0), [1, 0]) is None
+    with pytest.raises(ValueError):
+        face_distance(a2_edge, (0, 0), (3, 0, 0))
 
 
 def test_face_leq_reflexive_and_antisymmetric(a2_edge):
