@@ -166,8 +166,7 @@ def _freudenthal(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     ip = rs.ip
     simple = rs.simple_roots
     rho = rs.rho
-    n = rs.rank
-    inv = rs.inv_cartan
+    in_root_cone = rs.in_root_cone
     lam_rho = lam + rho
     top_norm = ip(lam_rho, lam_rho)
     pos_data = [(alpha, ip(alpha, alpha)) for alpha in rs.positive_roots]
@@ -184,14 +183,7 @@ def _freudenthal(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
                 if nu in dom_of or nu in rejected:
                     continue
                 dom, _, _ = to_dominant_signed(rs, nu)
-                diff = lam - dom
-                ok = True
-                for i in range(n):
-                    c = sum(inv[i][j] * diff[j] for j in range(n))
-                    if c.denominator != 1 or c < 0:
-                        ok = False
-                        break
-                if not ok:
+                if not in_root_cone(lam - dom):
                     rejected.add(nu)
                     continue
                 dom_of[nu] = dom

@@ -2,13 +2,13 @@
 
 Whether a subset of wt(V) lies on a proper face is decided by a rational
 linear program: a functional equal to 1 on the subset and at most 1 on all of
-wt(V), with integer rows from the rescaled form. Exact Fourier-Motzkin
-elimination, each stage pruned to one row per primitive integer direction and
-the tightest right-hand side, yields a certificate that is re-verified through
-the rational form. Length-rigidity of weight decompositions is checked by
-bounded exhaustive enumeration, to be played against the LP in tests. Face
-enumeration takes facets from integer normals (signed minors) and lower faces
-as intersections of facets.
+wt(V), with integer rows from the rescaled form and an integer null basis.
+Exact Fourier-Motzkin elimination, each stage pruned to one row per primitive
+integer direction and the tightest right-hand side, yields a certificate that
+is re-verified in integers through its pairing row. Length-rigidity of weight
+decompositions is checked by bounded exhaustive enumeration, to be played
+against the LP in tests. Face enumeration takes facets from integer normals
+(signed minors) and lower faces as intersections of facets.
 """
 
 from __future__ import annotations
@@ -125,27 +125,24 @@ def _pairing_row(rs: RootSystem, beta) -> tuple[int, ...]:
     return tuple(sum(rs.form_int[i][j] * beta[j] for j in range(n)) for i in range(n))
 
 
-def _nullspace(rows, pivots: list[int], n: int) -> list[list[Fraction]]:
-    """Null-space basis of a matrix reduced by `_rref`, one vector per free column."""
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row, col in zip(rows, pivots):
-            vec[col] = -row[fc]
-        basis.append(vec)
-    return basis
-
-
 def _solve_equalities(eqs: list[tuple[tuple, Fraction]], n: int):
-    """Exact affine solve: returns (particular, nullspace basis) or None if inconsistent."""
-    rows, pivots = _rref([[*map(Fraction, c), Fraction(r)] for c, r in eqs], n)
+    """Exact affine solve: (rational particular, integer null basis) or None if
+    inconsistent; one basis vector per free column, scaled to clear denominators."""
+    rows, pivots = _rref([[*c, r] for c, r in eqs], n)
     if any(row[n] != 0 for row in rows[len(pivots):]):
         return None
     particular = [Fraction(0)] * n
     for row, col in zip(rows, pivots):
         particular[col] = row[n]
-    return particular, _nullspace(rows, pivots, n)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        den = lcm(*(row[fc].denominator for row in rows[: len(pivots)]))
+        vec = [0] * n
+        vec[fc] = den
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[fc].numerator * (den // row[fc].denominator)
+        basis.append(vec)
+    return particular, basis
 
 
 def _primitive_rows(rows) -> dict[tuple[int, ...], Fraction] | None:
@@ -169,21 +166,16 @@ def _primitive_rows(rows) -> dict[tuple[int, ...], Fraction] | None:
     return out
 
 
-def _fm_feasible_point(ineqs: list[tuple[list[Fraction], Fraction]], n: int):
-    """Fourier-Motzkin feasibility for coeffs . y <= rhs; returns a point or None.
+def _fm_feasible_point(ineqs: list[tuple[list[int], Fraction]], n: int):
+    """Fourier-Motzkin feasibility for integer coeffs . y <= rhs; returns a point or None.
 
     Each stage is pruned to primitive directions with the tightest rhs. A
     positive multiple of a row is the same half-space, and a looser row with
     the same direction only yields looser combinations, so every stage keeps
     the same (direction, tightest rhs) pairs as unpruned elimination and the
-    back-substituted point is the same.
+    back-substituted point is the same. With n = 0 the point is [] or None.
     """
-    scaled = []
-    for coeffs, rhs in ineqs:
-        coeffs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in coeffs))
-        scaled.append(([c.numerator * (den // c.denominator) for c in coeffs], Fraction(rhs) * den))
-    cur = _primitive_rows(scaled)
+    cur = _primitive_rows(ineqs)
     stages: list[dict[tuple[int, ...], Fraction]] = []
     for v in range(n - 1, -1, -1):
         if cur is None:
@@ -229,7 +221,8 @@ def lies_on_proper_face(ws: WeightSystem, subset) -> FaceSubset | None:
     of wt(V) is 0, which forces a positive maximum for any supporting
     functional and rules out the improper face wt(V) itself. The rows are s
     times the rational ones, so the face value is s; scaling changes neither
-    the echelon form nor a primitive direction, hence nor the functional.
+    the echelon form nor a primitive direction, hence nor the functional; a
+    scaled null-basis vector only rescales its coordinate in every FM stage.
     """
     rs = ws.rs
     members = frozenset(Weight(w) for w in subset)
@@ -245,36 +238,26 @@ def lies_on_proper_face(ws: WeightSystem, subset) -> FaceSubset | None:
     if solved is None:
         return None
     particular, basis = solved
-    others = [b for b in sorted(wts) if b not in members]
-    if basis:
-        ineqs = []
-        for b in others:
-            row = rows[b]
-            shift = sum(r * p for r, p in zip(row, particular))
-            coeffs = [sum(r * v for r, v in zip(row, vec)) for vec in basis]
-            ineqs.append((coeffs, s - shift))
-        y = _fm_feasible_point(ineqs, len(basis))
-        if y is None:
-            return None
-        xi = [p + sum(vec[i] * yi for vec, yi in zip(basis, y)) for i, p in enumerate(particular)]
-    else:
-        xi = particular
-        if any(sum(r * x for r, x in zip(rows[b], xi)) > s for b in others):
-            return None
-    functional = tuple(xi)
+    ineqs = []
+    for b in sorted(wts.keys() - members):
+        shift = sum(map(mul, rows[b], particular))
+        ineqs.append(([sum(map(mul, rows[b], vec)) for vec in basis], s - shift))
+    y = _fm_feasible_point(ineqs, len(basis))
+    if y is None:
+        return None
+    xi = [p + sum(vec[i] * yi for vec, yi in zip(basis, y)) for i, p in enumerate(particular)]
     face = FaceSubset(
         ws=ws,
         weights=members,
-        functional=functional,
+        functional=tuple(xi),
         weight_sum=_weight_sum(ws, members),
         total_mult=sum(wts[w] for w in members),
     )
-    for p in members:
-        if face.pair(p) != 1:
-            raise ArithmeticError("certificate failed re-verification on the subset")
-    for b in wts:
-        if face.pair(b) > 1:
-            raise ArithmeticError("certificate failed re-verification on wt(V)")
+    row, den = face.pair_row, face.pair_den
+    if any(sum(map(mul, row, p)) != den for p in members):
+        raise ArithmeticError("certificate failed re-verification on the subset")
+    if any(sum(map(mul, row, b)) > den for b in wts):
+        raise ArithmeticError("certificate failed re-verification on wt(V)")
     return face
 
 
@@ -350,7 +333,7 @@ def is_rigid_bruteforce(ws: WeightSystem, subset, bound: int) -> RigidityVerdict
 # Exact convex-hull face enumeration at small rank.
 
 
-def _affine_coords(pts: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
+def _affine_coords(pts: list[tuple]) -> list[tuple[Fraction, ...]]:
     """Coordinates of pts inside their own affine hull (first point at 0).
 
     The differences p - pts[0] are the columns of one matrix. Its pivot columns
@@ -372,7 +355,7 @@ def _proper_faces(pts: list) -> set[frozenset]:
     again and are skipped. Every proper face is the intersection of the facets
     that contain it, so the lower faces are the nonempty intersections.
     """
-    local = _affine_coords([tuple(map(Fraction, p)) for p in pts])
+    local = _affine_coords(pts)
     den = lcm(*(x.denominator for p in local for x in p))
     local = [tuple(int(x * den) for x in p) for p in local]
     m = len(local[0])

@@ -20,7 +20,7 @@ from .errors import FaceCertificateError, NotIntervalClosedError
 from .facegeom import FaceSubset
 from .homdims import ext_dim, gldim, proj_mult, witness_search
 from .rootsystem import Weight
-from .weightposet import GradedSet, GradedWeight, face_graded_leq, face_interval, linear_key
+from .weightposet import GradedSet, GradedWeight, face_graded_leq, face_interval
 
 __all__ = [
     "PolyMatrix",
@@ -88,8 +88,8 @@ class PolyMatrix:
 
 
 def _hilbert(face: FaceSubset, gamma: GradedSet, value) -> PolyMatrix:
-    """Unitriangular matrix in a linear extension of gamma: entry (row, col)
-    is value(col, row) when col < row in the face order, else 0.
+    """Unitriangular matrix in gamma's stored order, a linear extension:
+    entry (row, col) is value(col, row) when col < row in the face order, else 0.
 
     linear_key sorts by degree first and col < row forces deg col < deg row,
     so every entry above the diagonal is 0 without asking the face order.
@@ -98,8 +98,7 @@ def _hilbert(face: FaceSubset, gamma: GradedSet, value) -> PolyMatrix:
         raise NotIntervalClosedError("Hilbert matrices need an interval-closed set")
     if face.functional is None:
         raise FaceCertificateError("Hilbert matrices need a certified face subset")
-    rs = face.ws.rs
-    pts = tuple(sorted(gamma.points, key=lambda p: linear_key(rs, p)))
+    pts = gamma.points
 
     def entry(i: int, j: int) -> int:
         if i <= j:

@@ -2,7 +2,8 @@
 
 Everything is exact: weight coordinates are integers in the fundamental-weight
 basis (coordinate i of lam is lam(h_i)), the invariant form is a rational
-matrix, and an integer-rescaled copy of the form is kept for hot loops.
+matrix, and integer-rescaled copies of the form and of the inverse Cartan
+matrix (simple-root coordinates) are kept for hot loops.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import CartanDatumError
 
@@ -73,11 +75,11 @@ def _rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Fraction Gauss-Jordan on the first ncols columns; later columns ride along.
 
     The package's one exact-elimination kernel: inverses here, affine solves,
-    null spaces and hull coordinates in facegeom. Returns the reduced rows and
-    the pivot columns in the order found; the rows past the pivots are zero in
-    the first ncols columns.
+    null spaces and hull coordinates in facegeom. Takes ints or Fractions and
+    returns the reduced Fraction rows and the pivot columns in the order found;
+    the rows past the pivots are zero in the first ncols columns.
     """
-    rows = [list(row) for row in rows]
+    rows = [list(map(Fraction, row)) for row in rows]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
@@ -95,14 +97,16 @@ def _rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse: `_rref` of [mat | I]; raises on singular input."""
-    n = len(mat)
-    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows, pivots = _rref([list(row) + unit for row, unit in zip(mat, identity)], n)
-    if len(pivots) < n:
-        raise CartanDatumError("singular matrix")
-    return [row[n:] for row in rows]
+def _cone_coords(inv_rows, den: int, w) -> list[int] | None:
+    """Simple-root coordinates dot(inv_rows[i], w) / den of w if w is in Q+, else None;
+    one divmod per coordinate tests its sign and its divisibility."""
+    coords = []
+    for row in inv_rows:
+        c, r = divmod(sum(map(mul, row, w)), den)
+        if r or c < 0:
+            return None
+        coords.append(c)
+    return coords
 
 
 def _det(mat) -> int:
@@ -135,6 +139,8 @@ def _leading_minors_positive(sym: list[list[int]]) -> bool:
 def _minimal_symmetrizer(cartan: list[list[int]]) -> list[int]:
     """Smallest positive integers d with d_i a_ij = d_j a_ji, per component."""
     n = len(cartan)
+    if any(len(row) != n for row in cartan):
+        raise CartanDatumError(f"need a square Cartan matrix, got {n} rows of other lengths")
     ratio: list[Fraction | None] = [None] * n
     for start in range(n):
         if ratio[start] is not None:
@@ -267,16 +273,16 @@ def datum_from_json(obj) -> CartanDatum:
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise CartanDatumError("Cartan datum JSON must be an object")
-    if "type" in obj:
-        return series_datum(str(obj["type"]), int(obj["rank"]))
     try:
         rank = int(obj["rank"])
-        cartan = [[int(x) for x in row] for row in obj["cartan"]]
+        if "type" not in obj:
+            cartan = [[int(x) for x in row] for row in obj["cartan"]]
+            sym = [int(x) for x in obj["symmetrizer"]] if "symmetrizer" in obj else None
     except (KeyError, TypeError, ValueError) as exc:
         raise CartanDatumError(f"malformed Cartan datum JSON: {exc}") from exc
-    if "symmetrizer" in obj:
-        sym = [int(x) for x in obj["symmetrizer"]]
-    else:
+    if "type" in obj:
+        return series_datum(str(obj["type"]), rank)
+    if sym is None:
         sym = _minimal_symmetrizer(cartan)
     datum = CartanDatum(rank, tuple(tuple(row) for row in cartan), tuple(sym))
     datum.validate()
@@ -289,7 +295,9 @@ class RootSystem:
 
     `form` is the Weyl-invariant inner product on h* in omega coordinates;
     `form_int` is the same matrix rescaled to integers (scale cancels in every
-    ratio or sign the algorithms take).
+    ratio or sign the algorithms take). `inv_cartan` is the inverse Cartan
+    matrix times `inv_den`, its least common denominator: the simple-root
+    coordinates of a weight w are dot(inv_cartan[i], w) / inv_den.
     """
 
     datum: CartanDatum
@@ -298,7 +306,8 @@ class RootSystem:
     rho: Weight
     form: tuple[tuple[Fraction, ...], ...]
     form_int: tuple[tuple[int, ...], ...] = field(repr=False)
-    inv_cartan: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    inv_cartan: tuple[tuple[int, ...], ...] = field(repr=False)
+    inv_den: int = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -332,9 +341,11 @@ class RootSystem:
 
     def root_coords(self, w) -> tuple[Fraction, ...]:
         """Coordinates of w in the simple-root basis."""
-        return tuple(
-            sum(self.inv_cartan[i][j] * w[j] for j in range(self.rank)) for i in range(self.rank)
-        )
+        return tuple(Fraction(sum(map(mul, row, w)), self.inv_den) for row in self.inv_cartan)
+
+    def in_root_cone(self, w) -> bool:
+        """Whether w is in Q+, a nonnegative integer combination of simple roots."""
+        return _cone_coords(self.inv_cartan, self.inv_den, w) is not None
 
 
 def build_root_system(datum: CartanDatum) -> RootSystem:
@@ -342,11 +353,14 @@ def build_root_system(datum: CartanDatum) -> RootSystem:
     datum.validate()
     n = datum.rank
     simple = tuple(Weight(datum.cartan[i][j] for i in range(n)) for j in range(n))
-    a_frac = [[Fraction(x) for x in row] for row in datum.cartan]
-    inv_cartan = tuple(tuple(row) for row in _fraction_inverse(a_frac))
-    # form = diag(d) * A^{-1}; positive definite because diag(d)*A is.
+    # A^{-1} = inv / inv_den from `_rref` of [A | I]; A is invertible because
+    # form = diag(d) * A^{-1} is positive definite, as diag(d)*A is.
+    augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(datum.cartan)]
+    rows, _ = _rref(augmented, n)
+    inv_den = lcm(*(x.denominator for row in rows for x in row[n:]))
+    inv = tuple(tuple(x.numerator * (inv_den // x.denominator) for x in row[n:]) for row in rows)
     form = tuple(
-        tuple(datum.symmetrizer[i] * inv_cartan[i][j] for j in range(n)) for i in range(n)
+        tuple(Fraction(d * x, inv_den) for x in row) for d, row in zip(datum.symmetrizer, inv)
     )
     den = lcm(*(x.denominator for row in form for x in row))
     form_int = tuple(tuple(int(x * den) for x in row) for row in form)
@@ -367,27 +381,24 @@ def build_root_system(datum: CartanDatum) -> RootSystem:
                     fresh.append(gamma)
         frontier = fresh
 
-    inv_rows = inv_cartan
-    positive = []
+    # height = sum of the simple-root coordinates of a positive root
+    height = {}
     for beta in roots:
-        coeffs = [sum(inv_rows[i][j] * beta[j] for j in range(n)) for i in range(n)]
-        if all(c.denominator == 1 and c >= 0 for c in coeffs):
-            positive.append(beta)
-    if 2 * len(positive) != len(roots):
+        coords = _cone_coords(inv, inv_den, beta)
+        if coords is not None:
+            height[beta] = sum(coords)
+    if 2 * len(height) != len(roots):
         raise CartanDatumError("root closure produced an asymmetric root set")
 
-    def height(beta) -> int:
-        return int(sum(sum(inv_rows[i][j] * beta[j] for j in range(n)) for i in range(n)))
-
-    rho = Weight((1,) * n)
     return RootSystem(
         datum=datum,
         simple_roots=simple,
-        positive_roots=tuple(sorted(positive, key=lambda b: (height(b), b))),
-        rho=rho,
+        positive_roots=tuple(sorted(height, key=lambda b: (height[b], b))),
+        rho=Weight((1,) * n),
         form=form,
         form_int=form_int,
-        inv_cartan=inv_cartan,
+        inv_cartan=inv,
+        inv_den=inv_den,
     )
 
 
@@ -427,7 +438,7 @@ def to_dominant_signed(rs: RootSystem, lam) -> tuple[Weight, int, bool]:
             if c < 0:
                 break
         else:
-            return Weight(cur), sign, 0 in cur
+            return tuple.__new__(Weight, cur), sign, 0 in cur
         cur = [x - c * a for x, a in zip(cur, simple[i])]
         sign = -sign
 

@@ -56,16 +56,23 @@ def linear_key(rs: RootSystem, p: GradedWeight):
 
 @dataclass(frozen=True)
 class GradedSet:
-    """A finite set of graded points attached to a face subset."""
+    """A finite set of graded points attached to a face subset.
+
+    The points are stored sorted by `linear_key`, however they are given.
+    """
 
     face: FaceSubset
     points: tuple[GradedWeight, ...]
     interval_closed: bool
 
+    def __post_init__(self):
+        rs = self.face.ws.rs
+        pts = tuple(sorted(self.points, key=lambda p: linear_key(rs, p)))
+        object.__setattr__(self, "points", pts)
+
     @classmethod
     def build(cls, face: FaceSubset, points) -> "GradedSet":
-        rs = face.ws.rs
-        pts = tuple(sorted(set(points), key=lambda p: linear_key(rs, p)))
+        pts = tuple(set(points))
         return cls(face, pts, is_interval_closed(face, pts))
 
     def __iter__(self):
@@ -220,9 +227,7 @@ def face_interval(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> GradedS
     """The finite interval [p, q] in the face order; interval-closed by construction."""
     if not face_graded_leq(face, p, q):
         raise IncomparableError(f"{p} and {q} are not comparable in the face order")
-    pts = _interval_points(face, p, q)
-    rs = face.ws.rs
-    return GradedSet(face, tuple(sorted(pts, key=lambda r: linear_key(rs, r))), True)
+    return GradedSet(face, tuple(_interval_points(face, p, q)), True)
 
 
 def face_downset(face: FaceSubset, q: GradedWeight, max_depth: int) -> GradedSet:

@@ -1,13 +1,80 @@
-"""Independent brute-force oracles shared by the unit and acceptance tests."""
+"""Independent brute-force oracles shared by the unit and acceptance tests.
+
+The exact linear algebra here is a private Fraction copy (Gauss-Jordan, null
+space, affine solve, affine coordinates, inverse Cartan matrix), so the
+oracles share none of the package's integer elimination code.
+"""
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from facekoszul import Character, Weight, adams, decompose, irr_character, tensor
 from facekoszul.errors import FaceCertificateError, VirtualCharacterError
-from facekoszul.facegeom import _affine_coords, _nullspace, _solve_equalities
-from facekoszul.rootsystem import _rref
 from facekoszul.weightposet import _decomposable
+
+
+def _rref(rows, ncols):
+    """Fraction Gauss-Jordan on the first ncols columns of Fraction rows."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _nullspace(rows, pivots, n):
+    """Fraction null-space basis of a reduced matrix, one vector per free column."""
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def solve_equalities_fraction(eqs, n):
+    """Affine solve in Fractions: (particular, Fraction null basis) or None."""
+    rows, pivots = _rref([[*map(Fraction, c), Fraction(r)] for c, r in eqs], n)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return None
+    particular = [Fraction(0)] * n
+    for row, col in zip(rows, pivots):
+        particular[col] = row[n]
+    return particular, _nullspace(rows, pivots, n)
+
+
+def _affine_coords(pts):
+    """Coordinates of Fraction points inside their own affine hull (first point at 0)."""
+    base = pts[0]
+    rows, pivots = _rref([[p[i] - base[i] for p in pts] for i in range(len(base))], len(pts))
+    return [tuple(row[k] for row in rows[: len(pivots)]) for k in range(len(pts))]
+
+
+def root_coords_fraction(rs, w):
+    """Simple-root coordinates of w: the Fraction inverse of the Cartan matrix times w."""
+    n = rs.rank
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rs.datum.cartan)]
+    inv = [row[n:] for row in _rref(aug, n)[0]]
+    return tuple(sum(inv[i][j] * w[j] for j in range(n)) for i in range(n))
+
+
+def in_root_cone_fraction(rs, w):
+    """w in Q+: every simple-root coordinate is a nonnegative integer."""
+    return all(c.denominator == 1 and c >= 0 for c in root_coords_fraction(rs, w))
 
 
 def expand_power_bruteforce(ch, j, kind):
@@ -108,7 +175,7 @@ def face_functional_fraction_rows(ws, subset):
     rs, n = ws.rs, ws.rs.rank
     rows = {b: [sum(rs.form[i][j] * b[j] for j in range(n)) for i in range(n)] for b in ws.weights}
     members = sorted({Weight(w) for w in subset})
-    solved = _solve_equalities([(rows[p], Fraction(1)) for p in members], n)
+    solved = solve_equalities_fraction([(rows[p], Fraction(1)) for p in members], n)
     if solved is None:
         return None
     particular, basis = solved

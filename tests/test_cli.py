@@ -171,6 +171,22 @@ def test_roots_bad_matrix_exit_2(run, tmp_path):
     run("roots", "Q3", expect=2)
 
 
+@pytest.mark.parametrize(
+    "datum",
+    [
+        {"type": "A"},
+        {"type": "A", "rank": None},
+        {"rank": 2, "cartan": [[2, -1], [-1, 2]], "symmetrizer": None},
+        {"rank": 2, "cartan": [[2, -1], [-1, 2]], "symmetrizer": 3},
+        {"rank": 2, "cartan": [[2], [-1, 2]]},
+    ],
+)
+def test_roots_malformed_json_file_exit_2(run, tmp_path, datum):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(datum))
+    run("roots", str(path), expect=2)
+
+
 def test_character_json(run):
     obj = _json(run, "character", "A2", "1,1")
     assert obj["dimension"] == 8

@@ -68,6 +68,14 @@ def test_face_test_rejects_interior(a1_adjoint):
     assert lies_on_proper_face(a1_adjoint, [Weight((2,)), Weight((-2,))]) is None
 
 
+def test_face_test_full_rank_subset_checks_every_weight(a2_adjoint):
+    # alpha1 and alpha2 fix the functional with no free direction left; it
+    # pairs theta = alpha1 + alpha2 to 2, so no proper face holds both.
+    assert lies_on_proper_face(a2_adjoint, [Weight((2, -1)), Weight((-1, 2))]) is None
+    face = lies_on_proper_face(a2_adjoint, [Weight((2, -1)), Weight((1, 1))])
+    assert face is not None and face.pair(Weight((-1, 2))) == 0
+
+
 def test_face_test_hexagon_edge(a2_adjoint):
     face = lies_on_proper_face(a2_adjoint, [Weight((2, -1)), Weight((1, 1))])
     assert face is not None

@@ -102,6 +102,13 @@ def test_linear_extension_ordering(a2_edge):
     assert degrees == sorted(degrees)
 
 
+def test_directly_built_set_with_shuffled_points_reports_the_same(a2_edge):
+    iv = face_interval(a2_edge, GradedWeight(Weight((0, 0)), 0), GradedWeight(Weight((6, 0)), 4))
+    shuffled = GradedSet(a2_edge, iv.points[::2] + iv.points[1::2][::-1], True)
+    assert shuffled.points == iv.points
+    assert full_report(a2_edge, shuffled).to_json_obj() == full_report(a2_edge, iv).to_json_obj()
+
+
 def test_precondition_errors_are_not_fail_verdicts(a1_vertex):
     gs = GradedSet.build(a1_vertex, [GradedWeight(Weight((0,)), 0), GradedWeight(Weight((4,)), 2)])
     with pytest.raises(NotIntervalClosedError):

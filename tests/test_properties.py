@@ -4,11 +4,14 @@ The old paths live in tests/oracles.py: powers by Newton's identities on Adams
 operations, constituents by building the tensor product with V(lam) and
 peeling off maximal weights, the face LP with rational pairing rows and
 Fourier-Motzkin elimination without row pruning, and the face distance with
-its pairing in Fraction arithmetic. Brauer-Klimyk constituents, the
-product-pass powers, the integer-row, pruned face LP and the face order
-through the integer pairing row must agree with them exactly.
+its pairing in Fraction arithmetic, the affine solve with a Fraction null
+basis, and simple-root coordinates through a Fraction inverse Cartan matrix.
+Brauer-Klimyk constituents, the product-pass powers, the integer-row, pruned
+face LP, the face order through the integer pairing row, the integer null
+basis and the integer root-cone test must agree with them exactly.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -19,7 +22,10 @@ from oracles import (
     expand_power_bruteforce,
     face_distance_fraction,
     face_functional_fraction_rows,
+    in_root_cone_fraction,
     newton_power,
+    root_coords_fraction,
+    solve_equalities_fraction,
 )
 
 import facekoszul.homdims as homdims
@@ -41,6 +47,8 @@ from facekoszul import (
 )
 from facekoszul.cli import _adjoint_spec
 from facekoszul.errors import VirtualCharacterError
+from facekoszul.facegeom import _pairing_row, _solve_equalities
+from facekoszul.rootsystem import datum_from_json
 
 TYPES = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3")
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -181,3 +189,62 @@ def test_face_order_matches_fraction_oracle(data, face):
     q = GradedWeight(nu, p.degree + len(steps) + data.draw(st.sampled_from((-1, 0, 0, 1))))
     d = face_distance_fraction(face, mu, nu)
     assert face_graded_leq(face, p, q) == (d is not None and d == q.degree - p.degree)
+
+
+@PROPERTY
+@given(data=st.data(), index=st.integers(0, len(LP_TYPES)))
+def test_integer_null_basis_scales_the_fraction_basis(data, index):
+    ws = _lp_weight_system(index)
+    rs = ws.rs
+    subset = data.draw(st.lists(st.sampled_from(sorted(ws.weights)), min_size=1, max_size=3))
+    scale = data.draw(st.sampled_from((1, 2, 6)))
+    eqs = [(_pairing_row(rs, w), Fraction(scale)) for w in subset]
+    got, want = _solve_equalities(eqs, rs.rank), solve_equalities_fraction(eqs, rs.rank)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1])
+    for vec, ref in zip(got[1], want[1]):
+        assert all(type(x) is int for x in vec)
+        ratios = {Fraction(x) / y for x, y in zip(vec, ref) if y}
+        assert all(x == 0 for x, y in zip(vec, ref) if not y)
+        assert len(ratios) == 1 and min(ratios) > 0
+
+
+# Root data for the root-cone test: series types, and two products as custom
+# Cartan data with the symmetrizer left to the parser.
+CONE_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4", "E6")
+CUSTOM_CARTANS = {
+    "A1xA1": [[2, 0], [0, 2]],
+    "A2xA1": [[2, -1, 0], [-1, 2, 0], [0, 0, 2]],
+}
+
+
+@lru_cache(maxsize=None)
+def _cone_rs(name):
+    if name in CUSTOM_CARTANS:
+        cartan = CUSTOM_CARTANS[name]
+        return root_system(datum_from_json({"rank": len(cartan), "cartan": cartan}))
+    return _rs(name)
+
+
+@PROPERTY
+@given(data=st.data(), name=st.sampled_from(CONE_TYPES + tuple(CUSTOM_CARTANS)))
+def test_root_cone_matches_fraction_inverse_cartan(data, name):
+    # Either any small weight (often off the root lattice), or a combination
+    # of simple roots with mostly nonnegative coefficients, sometimes shifted
+    # by a fundamental weight.
+    rs = _cone_rs(name)
+    n = rs.rank
+    if data.draw(st.booleans()):
+        w = Weight(data.draw(st.tuples(*[st.integers(-6, 6)] * n)))
+    else:
+        w = Weight.zero(n)
+        for c, alpha in zip(data.draw(st.tuples(*[st.integers(-1, 3)] * n)), rs.simple_roots):
+            w = w + c * alpha
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, n - 1))
+            w = w + Weight(int(i == k) for i in range(n))
+    assert rs.root_coords(w) == root_coords_fraction(rs, w)
+    assert rs.in_root_cone(w) == in_root_cone_fraction(rs, w)
