@@ -2,13 +2,14 @@
 
 Whether a subset of wt(V) lies on a proper face is decided by a rational
 linear program: a functional equal to 1 on the subset and at most 1 on all of
-wt(V), with integer rows from the rescaled form and an integer null basis.
-Exact Fourier-Motzkin elimination, each stage pruned to one row per primitive
-integer direction and the tightest right-hand side, yields a certificate that
-is re-verified in integers through its pairing row. Length-rigidity of weight
-decompositions is checked by bounded exhaustive enumeration, to be played
-against the LP in tests. Face enumeration takes facets from integer normals
-(signed minors) and lower faces as intersections of facets.
+wt(V). Its rows come from the integer-rescaled form and an integer null basis,
+its right-hand sides are integers over one denominator (the particular
+solution's), and Fourier-Motzkin elimination runs on integers, each stage
+pruned to one row per primitive direction and the tightest bound. The
+certificate is re-verified in integers through its pairing row. Rigidity of
+weight decompositions is checked by bounded exhaustive enumeration, to be
+played against the LP in tests. Face enumeration takes facets from integer
+normals (signed minors) and lower faces as intersections of facets.
 """
 
 from __future__ import annotations
@@ -92,9 +93,12 @@ class FaceSubset:
         object.__setattr__(self, "key", f"{self.ws.key}|{members}")
         row = den = None
         if self.functional is not None:
-            row = [Fraction(sum(map(mul, self.functional, col))) for col in zip(*self.ws.rs.form)]
-            den = lcm(*(c.denominator for c in row))
-            row = tuple(int(c * den) for c in row)
+            rs = self.ws.rs
+            scale = lcm(*(c.denominator for c in self.functional))
+            xi = [c.numerator * (scale // c.denominator) for c in self.functional]
+            row = [sum(map(mul, xi, col)) for col in zip(*rs.form_int)]
+            g = gcd(scale * rs.form_scale, *row)
+            row, den = tuple(c // g for c in row), scale * rs.form_scale // g
         object.__setattr__(self, "pair_row", row)
         object.__setattr__(self, "pair_den", den)
 
@@ -108,6 +112,8 @@ class FaceSubset:
         """<functional, w> through the invariant form, by the integer pairing row."""
         if self.functional is None:
             raise ValueError("face subset has no certificate")
+        if len(w) != len(self.pair_row):
+            raise ValueError(f"pair needs a weight of rank {len(self.pair_row)}")
         return Fraction(sum(map(mul, self.pair_row, w)), self.pair_den)
 
 
@@ -120,9 +126,8 @@ def weight_system(rs: RootSystem, spec: ModuleSpec) -> WeightSystem:
 
 
 def _pairing_row(rs: RootSystem, beta) -> tuple[int, ...]:
-    """Row r with s <xi, beta> = r . xi (xi in omega coordinates, s = form_int / form)."""
-    n = rs.rank
-    return tuple(sum(rs.form_int[i][j] * beta[j] for j in range(n)) for i in range(n))
+    """Row r with s <xi, beta> = r . xi (xi in omega coordinates, s = rs.form_scale)."""
+    return tuple(sum(map(mul, row, beta)) for row in rs.form_int)
 
 
 def _solve_equalities(eqs: list[tuple[tuple, Fraction]], n: int):
@@ -145,62 +150,68 @@ def _solve_equalities(eqs: list[tuple[tuple, Fraction]], n: int):
     return particular, basis
 
 
-def _primitive_rows(rows) -> dict[tuple[int, ...], Fraction] | None:
-    """One row per primitive integer direction, keeping the tightest rhs.
+def _primitive_rows(rows) -> dict[tuple[int, ...], tuple[int, int]] | None:
+    """One row per primitive integer direction, keeping the tightest bound.
 
-    `rows` are (integer coeffs, rhs) for coeffs . y <= rhs; dividing a row by
-    the gcd of its coefficients leaves its half-space as it is. All-zero rows
-    are dropped, and None reports one with a negative rhs (infeasible).
+    `rows` are integer (coeffs, num, den) for coeffs . z <= num / den, den > 0;
+    dividing a row by the gcd g of its coefficients leaves its half-space, with
+    bound num / (den * g). Bounds compare by cross-multiplying; the kept one is
+    (num, den) in lowest terms. All-zero rows are dropped, and None reports one
+    with a negative bound (infeasible).
     """
-    out: dict[tuple[int, ...], Fraction] = {}
-    for coeffs, rhs in rows:
+    out: dict[tuple[int, ...], tuple[int, int]] = {}
+    for coeffs, num, den in rows:
         g = gcd(*coeffs)
         if g == 0:
-            if rhs < 0:
+            if num < 0:
                 return None
             continue
         key = tuple(c // g for c in coeffs)
-        bound = rhs / g
-        if key not in out or bound < out[key]:
-            out[key] = bound
+        den *= g
+        old = out.get(key)
+        if old is None or num * old[1] < old[0] * den:
+            h = gcd(num, den)
+            out[key] = (num // h, den // h)
     return out
 
 
-def _fm_feasible_point(ineqs: list[tuple[list[int], Fraction]], n: int):
-    """Fourier-Motzkin feasibility for integer coeffs . y <= rhs; returns a point or None.
+def _fm_feasible_point(ineqs: list[tuple[list[int], int]], n: int):
+    """Fourier-Motzkin feasibility for integer coeffs . z <= rhs; returns a point or None.
 
-    Each stage is pruned to primitive directions with the tightest rhs. A
-    positive multiple of a row is the same half-space, and a looser row with
-    the same direction only yields looser combinations, so every stage keeps
-    the same (direction, tightest rhs) pairs as unpruned elimination and the
-    back-substituted point is the same. With n = 0 the point is [] or None.
+    Each stage holds primitive integer directions with their tightest bounds
+    as integer fractions (num, den), and rows combine in integers. A positive
+    multiple of a row is the same half-space, and a looser row with the same
+    direction only yields looser combinations, so every stage keeps the same
+    (direction, tightest bound) pairs as unpruned elimination and the
+    back-substituted point, the one rational step, is the same. With n = 0
+    the point is [] or None.
     """
-    cur = _primitive_rows(ineqs)
-    stages: list[dict[tuple[int, ...], Fraction]] = []
+    cur = _primitive_rows((coeffs, rhs, 1) for coeffs, rhs in ineqs)
+    stages: list[dict[tuple[int, ...], tuple[int, int]]] = []
     for v in range(n - 1, -1, -1):
         if cur is None:
             return None
         stages.append(cur)
         pos = [row for row in cur.items() if row[0][v] > 0]
         neg = [row for row in cur.items() if row[0][v] < 0]
-        nxt = [row for row in cur.items() if row[0][v] == 0]
-        for pc, pr in pos:
-            for nc, nr in neg:
+        nxt = [(c, num, den) for c, (num, den) in cur.items() if c[v] == 0]
+        for pc, (pn, pd) in pos:
+            for nc, (nn, nd) in neg:
                 a, b = -nc[v], pc[v]
-                nxt.append(([a * x + b * y for x, y in zip(pc, nc)], a * pr + b * nr))
+                coeffs = [a * x + b * y for x, y in zip(pc, nc)]
+                nxt.append((coeffs, a * pn * nd + b * nn * pd, pd * nd))
         cur = _primitive_rows(nxt)
     if cur is None:
         return None
     point = [Fraction(0)] * n
     for v in range(n):
-        lower = None
-        upper = None
-        for coeffs, rhs in stages[n - 1 - v].items():
+        lower = upper = None
+        for coeffs, (num, den) in stages[n - 1 - v].items():
             cv = coeffs[v]
             if cv == 0:
                 continue
             rest = sum(coeffs[j] * point[j] for j in range(v))
-            bound = (rhs - rest) / cv
+            bound = (Fraction(num, den) - rest) / cv
             if cv > 0:
                 upper = bound if upper is None or bound < upper else upper
             else:
@@ -220,9 +231,12 @@ def lies_on_proper_face(ws: WeightSystem, subset) -> FaceSubset | None:
     Normalizing the face value to 1 is valid because the weighted barycenter
     of wt(V) is 0, which forces a positive maximum for any supporting
     functional and rules out the improper face wt(V) itself. The rows are s
-    times the rational ones, so the face value is s; scaling changes neither
-    the echelon form nor a primitive direction, hence nor the functional; a
-    scaled null-basis vector only rescales its coordinate in every FM stage.
+    times the rational ones (s = rs.form_scale), so the face value is s;
+    scaling changes neither the echelon form nor a primitive direction, hence
+    nor the functional; a scaled null-basis vector only rescales its
+    coordinate in every FM stage. Over the least common denominator D of the
+    particular solution P, each inequality is (r . basis) . z <= s*D - r . D*P
+    in integers for z = D*y, and xi = (D*P + basis . z) / D.
     """
     rs = ws.rs
     members = frozenset(Weight(w) for w in subset)
@@ -232,20 +246,23 @@ def lies_on_proper_face(ws: WeightSystem, subset) -> FaceSubset | None:
     if any(w not in wts for w in members):
         raise ValueError("face subset must be contained in wt(V)")
     n = rs.rank
-    s = rs.form_int[0][0] / rs.form[0][0]
+    s = rs.form_scale
     rows = {beta: _pairing_row(rs, beta) for beta in wts}
     solved = _solve_equalities([(rows[p], s) for p in sorted(members)], n)
     if solved is None:
         return None
     particular, basis = solved
+    den = lcm(*(p.denominator for p in particular))
+    base = [p.numerator * (den // p.denominator) for p in particular]
     ineqs = []
     for b in sorted(wts.keys() - members):
-        shift = sum(map(mul, rows[b], particular))
-        ineqs.append(([sum(map(mul, rows[b], vec)) for vec in basis], s - shift))
-    y = _fm_feasible_point(ineqs, len(basis))
-    if y is None:
+        r = rows[b]
+        ineqs.append(([sum(map(mul, r, vec)) for vec in basis], s * den - sum(map(mul, r, base))))
+    z = _fm_feasible_point(ineqs, len(basis))
+    if z is None:
         return None
-    xi = [p + sum(vec[i] * yi for vec, yi in zip(basis, y)) for i, p in enumerate(particular)]
+    xi = [Fraction(p + sum(vec[i] * zi for vec, zi in zip(basis, z))) / den
+          for i, p in enumerate(base)]
     face = FaceSubset(
         ws=ws,
         weights=members,
@@ -371,9 +388,10 @@ def _proper_faces(pts: list) -> set[frozenset]:
         normal = [(-1) ** j * _det([d[:j] + d[j + 1 :] for d in diffs]) for j in range(m)]
         if not any(normal):
             continue
-        vals = [sum(a * (x - b) for a, x, b in zip(normal, p, base)) for p in local]
-        if min(vals) >= 0 or max(vals) <= 0:
-            facets.append(sum(1 << i for i, v in enumerate(vals) if v == 0))
+        level = sum(map(mul, normal, base))
+        vals = [sum(map(mul, normal, p)) for p in local]
+        if min(vals) >= level or max(vals) <= level:
+            facets.append(sum(1 << i for i, v in enumerate(vals) if v == level))
     faces = set(facets)
     fresh = faces
     while fresh:

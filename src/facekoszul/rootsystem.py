@@ -294,8 +294,8 @@ class RootSystem:
     """Immutable root-system data.
 
     `form` is the Weyl-invariant inner product on h* in omega coordinates;
-    `form_int` is the same matrix rescaled to integers (scale cancels in every
-    ratio or sign the algorithms take). `inv_cartan` is the inverse Cartan
+    `form_int` is `form` times its least common denominator `form_scale`
+    (scale cancels in every ratio or sign). `inv_cartan` is the inverse Cartan
     matrix times `inv_den`, its least common denominator: the simple-root
     coordinates of a weight w are dot(inv_cartan[i], w) / inv_den.
     """
@@ -306,6 +306,7 @@ class RootSystem:
     rho: Weight
     form: tuple[tuple[Fraction, ...], ...]
     form_int: tuple[tuple[int, ...], ...] = field(repr=False)
+    form_scale: int = field(repr=False)
     inv_cartan: tuple[tuple[int, ...], ...] = field(repr=False)
     inv_den: int = field(repr=False)
 
@@ -397,6 +398,7 @@ def build_root_system(datum: CartanDatum) -> RootSystem:
         rho=Weight((1,) * n),
         form=form,
         form_int=form_int,
+        form_scale=den,
         inv_cartan=inv,
         inv_den=inv_den,
     )

@@ -104,7 +104,7 @@ def _decomposable(delta: tuple[int, ...], steps: int, gens: tuple[Weight, ...]) 
     value = _DP.get((delta, steps, gens))
     if value is not None:
         return value
-    bounds = [(min(g[i] for g in gens), max(g[i] for g in gens)) for i in range(len(delta))]
+    bounds = [(min(c), max(c)) for c in zip(*gens)]
 
     def settled(d, s):
         """The value of node (d, s) if known without expanding it, else None."""

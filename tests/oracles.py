@@ -7,6 +7,7 @@ oracles share none of the package's integer elimination code.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 
 from facekoszul import Character, Weight, adams, decompose, irr_character, tensor
 from facekoszul.errors import FaceCertificateError, VirtualCharacterError
@@ -223,6 +224,15 @@ def proper_faces_recursive(coords, members):
             faces.add(facet)
             faces |= proper_faces_recursive(coords, tuple(sorted(facet)))
     return faces
+
+
+def pair_row_fraction(ws, functional):
+    """(pair_row, pair_den) of a functional: the row functional^T * form in
+    Fraction arithmetic through `rs.form`, times the least common denominator
+    of its entries, and that denominator."""
+    row = [Fraction(sum(x * f for x, f in zip(functional, col))) for col in zip(*ws.rs.form)]
+    den = lcm(*(c.denominator for c in row))
+    return tuple(int(c * den) for c in row), den
 
 
 def face_distance_fraction(face, mu, nu):

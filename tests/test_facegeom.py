@@ -82,6 +82,14 @@ def test_face_test_hexagon_edge(a2_adjoint):
     assert face.total_mult == 2 and face.weight_sum == Weight((3, 0))
 
 
+def test_pair_rejects_a_weight_of_the_wrong_rank(a2_adjoint):
+    face = lies_on_proper_face(a2_adjoint, [Weight((2, -1)), Weight((1, 1))])
+    assert face.pair((2, -1)) == 1
+    for w in ((2,), (2, -1, 7), ()):
+        with pytest.raises(ValueError, match="rank 2"):
+            face.pair(w)
+
+
 def test_face_test_input_validation(a1_adjoint):
     with pytest.raises(ValueError):
         lies_on_proper_face(a1_adjoint, [])

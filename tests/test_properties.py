@@ -3,12 +3,14 @@
 The old paths live in tests/oracles.py: powers by Newton's identities on Adams
 operations, constituents by building the tensor product with V(lam) and
 peeling off maximal weights, the face LP with rational pairing rows and
-Fourier-Motzkin elimination without row pruning, and the face distance with
+Fourier-Motzkin elimination without row pruning (also on random integer
+systems), the pairing row as the lcm of a Fraction row, the face distance with
 its pairing in Fraction arithmetic, the affine solve with a Fraction null
 basis, and simple-root coordinates through a Fraction inverse Cartan matrix.
-Brauer-Klimyk constituents, the product-pass powers, the integer-row, pruned
-face LP, the face order through the integer pairing row, the integer null
-basis and the integer root-cone test must agree with them exactly.
+Brauer-Klimyk constituents, the product-pass powers, the integer, pruned face
+LP and its elimination, the integer pairing row and the face order through it,
+the integer null basis and the integer root-cone test must agree with them
+exactly.
 """
 
 from fractions import Fraction
@@ -22,8 +24,10 @@ from oracles import (
     expand_power_bruteforce,
     face_distance_fraction,
     face_functional_fraction_rows,
+    fm_feasible_point_unpruned,
     in_root_cone_fraction,
     newton_power,
+    pair_row_fraction,
     root_coords_fraction,
     solve_equalities_fraction,
 )
@@ -47,7 +51,7 @@ from facekoszul import (
 )
 from facekoszul.cli import _adjoint_spec
 from facekoszul.errors import VirtualCharacterError
-from facekoszul.facegeom import _pairing_row, _solve_equalities
+from facekoszul.facegeom import FaceSubset, _fm_feasible_point, _pairing_row, _solve_equalities
 from facekoszul.rootsystem import datum_from_json
 
 TYPES = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3")
@@ -189,6 +193,65 @@ def test_face_order_matches_fraction_oracle(data, face):
     q = GradedWeight(nu, p.degree + len(steps) + data.draw(st.sampled_from((-1, 0, 0, 1))))
     d = face_distance_fraction(face, mu, nu)
     assert face_graded_leq(face, p, q) == (d is not None and d == q.degree - p.degree)
+
+
+# Form scales differ across these types (form_int = form_scale * form).
+PAIR_TYPES = ("A2", "B3", "D4", "G2", "F4")
+
+
+@lru_cache(maxsize=None)
+def _adjoint_ws(name):
+    rs = _rs(name)
+    return weight_system(rs, _adjoint_spec(rs))
+
+
+@PROPERTY
+@given(data=st.data(), name=st.sampled_from(PAIR_TYPES))
+def test_pair_row_matches_fraction_lcm(data, name):
+    # Directly built faces: the pairing row needs only the functional, whose
+    # entries mix ints, Fractions, zeros and negatives (all zero included).
+    ws = _adjoint_ws(name)
+    n = ws.rs.rank
+    entry = st.one_of(st.just(0), st.integers(-6, 6), st.fractions(-6, 6, max_denominator=12))
+    functional = data.draw(st.one_of(st.just((0,) * n), st.tuples(*[entry] * n)))
+    w = data.draw(st.sampled_from(sorted(ws.weights)))
+    face = FaceSubset(ws, frozenset({w}), functional, w, ws.weights[w])
+    assert (face.pair_row, face.pair_den) == pair_row_fraction(ws, functional)
+    assert all(type(c) is int for c in face.pair_row) and type(face.pair_den) is int
+
+
+# Sparse coefficients keep unpruned elimination small; it still grows fastest
+# at n = 4, which gets at most 8 rows.
+FM_COEFFS = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3))
+
+
+@st.composite
+def fm_systems(draw):
+    """(n, rows) for an integer system coeffs . z <= rhs with n <= 4 and at most
+    12 rows: random rows, positive multiples of some of them with the same, a
+    looser or a tighter rhs, and all-zero rows, negative rhs included."""
+    n = draw(st.integers(0, 4))
+    cap = 8 if n == 4 else 12
+    copies = draw(st.integers(0, 3))
+    zeros = draw(st.integers(0, 2))
+    row = st.tuples(st.lists(FM_COEFFS, min_size=n, max_size=n), st.integers(-3, 9))
+    rows = draw(st.lists(row, min_size=1, max_size=cap - copies - zeros))
+    for _ in range(copies):
+        coeffs, rhs = draw(st.sampled_from(rows))
+        k = draw(st.integers(1, 3))
+        rows.append(([k * c for c in coeffs], k * rhs + draw(st.integers(-2, 3))))
+    rows += [([0] * n, draw(st.integers(-2, 2))) for _ in range(zeros)]
+    return n, draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(system=fm_systems())
+def test_fm_feasible_point_matches_unpruned_elimination(system):
+    n, ineqs = system
+    point = _fm_feasible_point(ineqs, n)
+    assert point == fm_feasible_point_unpruned(ineqs, n)
+    if point is not None:
+        assert all(sum(c * x for c, x in zip(coeffs, point)) <= rhs for coeffs, rhs in ineqs)
 
 
 @PROPERTY
