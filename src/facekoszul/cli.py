@@ -46,10 +46,10 @@ class CliParseError(ValueError):
 
 
 class _NotAFace(Exception):
-    def __init__(self, subset, verdict):
+    def __init__(self, subset, witness):
         super().__init__("subset does not lie on a proper face")
         self.subset = subset
-        self.verdict = verdict
+        self.witness = witness
 
 
 def _load_root_system(arg: str):
@@ -121,7 +121,12 @@ def _parse_point(text: str, rank: int) -> GradedWeight:
 def _require_face(ws, subset, bound: int):
     face = lies_on_proper_face(ws, subset)
     if face is None:
-        raise _NotAFace(subset, is_rigid_bruteforce(ws, subset, bound))
+        # The LP has decided; a brute force past its guard only loses the counterexample.
+        try:
+            witness = is_rigid_bruteforce(ws, subset, bound).witness
+        except GuardLimitError:
+            witness = None
+        raise _NotAFace(subset, witness)
     return face
 
 
@@ -416,8 +421,8 @@ def main(argv=None) -> int:
         code, obj, lines = _HANDLERS[args.command](args)
     except _NotAFace as exc:
         detail = ""
-        if exc.verdict.witness is not None:
-            inside, outside = exc.verdict.witness
+        if exc.witness is not None:
+            inside, outside = exc.witness
             detail = f"; rigidity counterexample: {dict(inside)} vs {dict(outside)}"
         print(f"error: subset does not lie on a proper face{detail}", file=sys.stderr)
         return EXIT_RIGID

@@ -2,12 +2,13 @@
 
 Whether a subset of wt(V) lies on a proper face is decided by a rational
 linear program: a functional equal to 1 on the subset and at most 1 on all of
-wt(V). Its rows come from the integer-rescaled form and an integer null basis,
-its right-hand sides are integers over one denominator (the particular
-solution's), and Fourier-Motzkin elimination runs on integers, each stage
-pruned to one row per primitive direction and the tightest bound. The
-certificate is re-verified in integers through its pairing row. Rigidity of
-weight decompositions is checked by bounded exhaustive enumeration, to be
+wt(V). Its rows are the weights' integer pairing rows, built once per weight
+system; the fraction-free kernel `rootsystem._rref` solves the equalities, so
+the particular solution is integers over one denominator, the null basis is
+integer, and Fourier-Motzkin elimination runs on integers, each stage pruned
+to one row per primitive direction and the tightest bound. The certificate is
+re-verified in integers through its pairing row. Rigidity of weight
+decompositions is checked by guarded, bounded exhaustive enumeration, to be
 played against the LP in tests. Face enumeration takes facets from integer
 normals (signed minors) and lower faces as intersections of facets.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .characters import ModuleSpec, module_character
@@ -39,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """wt(V) with eigenspace dimensions, for a fixed semisimple module V."""
+    """wt(V) with eigenspace dimensions and each weight's `_pairing_row` in
+    `pairing_rows`, for a fixed semisimple module V."""
 
     rs: RootSystem
     spec: ModuleSpec
@@ -48,6 +50,8 @@ class WeightSystem:
     def __post_init__(self):
         object.__setattr__(self, "_weights", dict(self.weight_items))
         object.__setattr__(self, "key", f"{self.rs.key}#{self.spec.key}")
+        rows = {w: _pairing_row(self.rs, w) for w, _ in self.weight_items}
+        object.__setattr__(self, "pairing_rows", rows)
 
     @property
     def weights(self) -> dict:
@@ -130,24 +134,25 @@ def _pairing_row(rs: RootSystem, beta) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, beta)) for row in rs.form_int)
 
 
-def _solve_equalities(eqs: list[tuple[tuple, Fraction]], n: int):
-    """Exact affine solve: (rational particular, integer null basis) or None if
-    inconsistent; one basis vector per free column, scaled to clear denominators."""
-    rows, pivots = _rref([[*c, r] for c, r in eqs], n)
-    if any(row[n] != 0 for row in rows[len(pivots):]):
+def _solve_equalities(eqs: list[tuple[tuple[int, ...], int]], n: int):
+    """Exact affine solve of integer c . x = r: (D*P, D, integer null basis) with
+    D the least common denominator of the particular solution P, or None if
+    inconsistent. The null space of [c | -r] gets one vector per free column,
+    scaled to clear denominators; the last one, column n's, is (D*P, D).
+    """
+    rows, pivots = _rref([[*c, -r] for c, r in eqs], n + 1)
+    if n in pivots:
         return None
-    particular = [Fraction(0)] * n
-    for row, col in zip(rows, pivots):
-        particular[col] = row[n]
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        den = lcm(*(row[fc].denominator for row in rows[: len(pivots)]))
-        vec = [0] * n
-        vec[fc] = den
+    null = []
+    for fc in (c for c in range(n + 1) if c not in pivots):
+        scale = lcm(*(row[col] // gcd(row[col], row[fc]) for row, col in zip(rows, pivots)))
+        vec = [0] * (n + 1)
+        vec[fc] = scale
         for row, col in zip(rows, pivots):
-            vec[col] = -row[fc].numerator * (den // row[fc].denominator)
-        basis.append(vec)
-    return particular, basis
+            vec[col] = -row[fc] * scale // row[col]
+        null.append(vec)
+    *basis, (*particular, den) = null
+    return particular, den, [vec[:n] for vec in basis]
 
 
 def _primitive_rows(rows) -> dict[tuple[int, ...], tuple[int, int]] | None:
@@ -247,13 +252,11 @@ def lies_on_proper_face(ws: WeightSystem, subset) -> FaceSubset | None:
         raise ValueError("face subset must be contained in wt(V)")
     n = rs.rank
     s = rs.form_scale
-    rows = {beta: _pairing_row(rs, beta) for beta in wts}
+    rows = ws.pairing_rows
     solved = _solve_equalities([(rows[p], s) for p in sorted(members)], n)
     if solved is None:
         return None
-    particular, basis = solved
-    den = lcm(*(p.denominator for p in particular))
-    base = [p.numerator * (den // p.denominator) for p in particular]
+    base, den, basis = solved
     ineqs = []
     for b in sorted(wts.keys() - members):
         r = rows[b]
@@ -296,6 +299,10 @@ class RigidityVerdict:
         return self.ok
 
 
+# Most multisets of size <= bound the brute force builds (B3 adjoint, bound 6: 177 100).
+RIGID_MULTISETS = 200_000
+
+
 @lru_cache(maxsize=None)
 def _decompositions_by_sum(ws: WeightSystem, bound: int):
     """All multisets of wt(V) of size <= bound, grouped by their weight sum.
@@ -326,6 +333,9 @@ def is_rigid_bruteforce(ws: WeightSystem, subset, bound: int) -> RigidityVerdict
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if (size := comb(len(ws.weights) + bound, bound)) > RIGID_MULTISETS:
+        raise GuardLimitError(f"rigidity brute force guarded to {RIGID_MULTISETS} "
+                              f"multisets of wt(V), got {size} at bound {bound}")
     members = frozenset(Weight(w) for w in subset)
     if not members or any(w not in ws.weights for w in members):
         raise ValueError("subset must be nonempty and contained in wt(V)")
@@ -350,12 +360,13 @@ def is_rigid_bruteforce(ws: WeightSystem, subset, bound: int) -> RigidityVerdict
 # Exact convex-hull face enumeration at small rank.
 
 
-def _affine_coords(pts: list[tuple]) -> list[tuple[Fraction, ...]]:
-    """Coordinates of pts inside their own affine hull (first point at 0).
+def _affine_coords(pts: list[tuple]) -> list[tuple[int, ...]]:
+    """Integer coordinates of pts inside their own affine hull (first point at 0).
 
-    The differences p - pts[0] are the columns of one matrix. Its pivot columns
-    are the basis (each difference independent of the earlier ones), and its
-    reduced pivot rows hold every difference's coordinates in that basis.
+    The differences p - pts[0] are the columns of one integer matrix. Its pivot
+    columns are the basis (each difference independent of the earlier ones),
+    and pivot row i of `_rref` is p_i times coordinate i of every difference in
+    that basis; rescaling coordinates keeps every face.
     """
     base = pts[0]
     rows, pivots = _rref([[p[i] - base[i] for p in pts] for i in range(len(base))], len(pts))
@@ -368,13 +379,12 @@ def _proper_faces(pts: list) -> set[frozenset]:
     In integer coordinates inside the affine hull (dimension m), m affinely
     independent points span the hyperplane whose normal is the vector of
     signed (m-1)x(m-1) minors of their differences; it supports a facet when
-    every point lies on one side. Subsets inside a known facet span that facet
-    again and are skipped. Every proper face is the intersection of the facets
-    that contain it, so the lower faces are the nonempty intersections.
+    every point lies on one side (the scan stops at the first point on the
+    other side). Subsets inside a known facet span that facet again and are
+    skipped. Every proper face is the intersection of the facets that contain
+    it, so the lower faces are the nonempty intersections.
     """
     local = _affine_coords(pts)
-    den = lcm(*(x.denominator for p in local for x in p))
-    local = [tuple(int(x * den) for x in p) for p in local]
     m = len(local[0])
     if m == 0:
         return set()
@@ -389,9 +399,15 @@ def _proper_faces(pts: list) -> set[frozenset]:
         if not any(normal):
             continue
         level = sum(map(mul, normal, base))
-        vals = [sum(map(mul, normal, p)) for p in local]
-        if min(vals) >= level or max(vals) <= level:
-            facets.append(sum(1 << i for i, v in enumerate(vals) if v == level))
+        side = on = 0
+        for i, p in enumerate(local):
+            v = sum(map(mul, normal, p)) - level
+            if side * v < 0:
+                break
+            side = side or v
+            on |= (v == 0) << i
+        else:
+            facets.append(on)
     faces = set(facets)
     fresh = faces
     while fresh:

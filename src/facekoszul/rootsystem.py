@@ -71,28 +71,36 @@ class Weight(tuple):
         return cls((0,) * rank)
 
 
-def _rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Fraction Gauss-Jordan on the first ncols columns; later columns ride along.
+def _rref(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on the first ncols columns of integer rows;
+    later columns ride along.
 
-    The package's one exact-elimination kernel: inverses here, affine solves,
-    null spaces and hull coordinates in facegeom. Takes ints or Fractions and
-    returns the reduced Fraction rows and the pivot columns in the order found;
-    the rows past the pivots are zero in the first ncols columns.
+    The package's one exact-elimination kernel: the inverse Cartan matrix here,
+    affine solves and hull coordinates in facegeom. As in Bareiss, rows combine
+    as pv*row - f*pivot_row, divided by the gcd of their entries; pivots are
+    made positive. Every row stays a nonzero multiple of the Fraction one, so
+    pivot row i divided by its pivot is row i of the reduced echelon form.
+    Returns the rows (pivot rows primitive) and the pivot columns in the order
+    found; the rows past the pivots are zero in the first ncols columns.
     """
-    rows = [list(map(Fraction, row)) for row in rows]
+    rows = [list(row) for row in rows]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        top = rows[pivot]
+        g = gcd(*top) if top[col] > 0 else -gcd(*top)
+        top = [x // g for x in top]
+        rows[pivot], rows[rank] = rows[rank], top
+        pv = top[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                row = [pv * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return rows, pivots
 
@@ -355,11 +363,12 @@ def build_root_system(datum: CartanDatum) -> RootSystem:
     n = datum.rank
     simple = tuple(Weight(datum.cartan[i][j] for i in range(n)) for j in range(n))
     # A^{-1} = inv / inv_den from `_rref` of [A | I]; A is invertible because
-    # form = diag(d) * A^{-1} is positive definite, as diag(d)*A is.
+    # form = diag(d) * A^{-1} is positive definite, as diag(d)*A is. Row i is
+    # primitive, so its pivot is the least common denominator of row i of A^{-1}.
     augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(datum.cartan)]
     rows, _ = _rref(augmented, n)
-    inv_den = lcm(*(x.denominator for row in rows for x in row[n:]))
-    inv = tuple(tuple(x.numerator * (inv_den // x.denominator) for x in row[n:]) for row in rows)
+    inv_den = lcm(*(row[i] for i, row in enumerate(rows)))
+    inv = tuple(tuple(x * (inv_den // row[i]) for x in row[n:]) for i, row in enumerate(rows))
     form = tuple(
         tuple(Fraction(d * x, inv_den) for x in row) for d, row in zip(datum.symmetrizer, inv)
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -250,6 +251,11 @@ def test_rigid_face_subset_consistent(run):
     assert obj["consistent"] is True
 
 
+def test_rigid_bound_guard_exit_2(run):
+    # C(19 + 7, 7) multisets of the B3 adjoint's weights exceed the guard
+    run("--json", "rigid", "B3", "adjoint", "--face=0,1,0", "--bound", "7", expect=2)
+
+
 def test_rigid_text_names_the_exposed_set(run):
     # The text report explains the exit 0 despite the subset's violation line.
     out = run("rigid", "B2", "adjoint", "--face=-2,2;-1,0", "--bound", "3")
@@ -324,6 +330,48 @@ def test_koszul_non_face_exit_4(run, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "counterexample" in err
+
+
+# sha256 of `--json --no-cache` stdout, as produced by the Fraction equality
+# solve and Fraction hull coordinates: face enumeration on rank-3 and rank-4
+# adjoints, and the single-weight LP rungs that once blew up Fourier-Motzkin.
+REPORT_SHA256 = {
+    ("faces", "A3", "adjoint"):
+        "6999bb4e364509b073708fe5bdcf2bcf56ffc95df9138cefcb7d08cdbfcd021c",
+    ("faces", "B3", "adjoint"):
+        "1a8b2f2daf49998ac3064f7c203ad6e115e682ab31dae51f9360b1efdc6907f0",
+    ("faces", "C3", "adjoint"):
+        "a9fd0359602edf7afd969c734e1eadc346181cb745f2f2eae72ce79ad5f46713",
+    ("faces", "A4", "adjoint"):
+        "64e57b88493178d3a3c176b5aecf01bbd6b60bbe6329b33bd1984b4bde6093a3",
+    ("faces", "D4", "adjoint"):
+        "f04f390dccc0db15cfa7475886ede8996e2ac8b73b07d73d0694b95189475f7a",
+    ("rigid", "A5", "adjoint", "--face=1,0,0,0,1", "--bound", "1"):
+        "85a054cc21671d659ced336d20ad026e80253bcfded99dcce78b258c5c82572c",
+    ("rigid", "F4", "adjoint", "--face=1,0,-1,0", "--bound", "1"):
+        "401b60060248c5b2eb700c762219e470ff4026cb2c993bef78aa708395885a35",
+    ("rigid", "B4", "adjoint", "--face=0,0,1,-2", "--bound", "1"):
+        "009ad290bf9c14df73ac457315a47da1fe4913d67457b393f743e40c2fdb7c2b",
+    ("rigid", "C4", "adjoint", "--face=0,0,-2,2", "--bound", "1"):
+        "fddf6fb2b2b80bbf702e92d7a87f779688e5c6e23ca9e246172bfa34759bc4e4",
+}
+
+
+@pytest.mark.parametrize("args", sorted(REPORT_SHA256), ids=" ".join)
+def test_reports_byte_identical(args, capsys):
+    code = main(["--json", "--no-cache", *args])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[args]
+
+
+def test_koszul_non_face_past_rigidity_guard_exit_4(capsys):
+    # The A4 adjoint has 21 weights: the default --bound 6 is past the brute
+    # force's guard, so the LP's verdict stands without a counterexample.
+    code = main(["--no-cache", "koszul", "A4", "adjoint", "--face=1,0,0,1;-1,0,0,-1",
+                 "--lo=0,0,0,0@0", "--hi=1,0,0,1@1"])
+    assert code == 4
+    assert capsys.readouterr().err == "error: subset does not lie on a proper face\n"
 
 
 def test_reports_deterministic_across_runs(run):

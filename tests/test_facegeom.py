@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -18,7 +19,7 @@ from facekoszul import (
 )
 from facekoszul.cli import _adjoint_spec
 from facekoszul.errors import GuardLimitError
-from facekoszul.facegeom import _proper_faces
+from facekoszul.facegeom import RIGID_MULTISETS, _proper_faces
 from facekoszul.rootsystem import _rref
 
 
@@ -124,6 +125,17 @@ def test_rigid_bruteforce_validation(a1_adjoint):
         is_rigid_bruteforce(a1_adjoint, [Weight((2,))], 0)
     with pytest.raises(ValueError):
         is_rigid_bruteforce(a1_adjoint, [Weight((1,))], 3)
+
+
+def test_rigid_bruteforce_guard():
+    # B3 adjoint: 19 weights, C(25, 6) = 177 100 multisets at bound 6 and
+    # C(26, 7) = 657 800 at bound 7, refused before any is built.
+    rs = root_system("B3")
+    ws = weight_system(rs, _adjoint_spec(rs))
+    assert comb(len(ws.weights) + 6, 6) == 177_100 <= RIGID_MULTISETS
+    with pytest.raises(GuardLimitError, match="657800"):
+        is_rigid_bruteforce(ws, [Weight((0, 1, 0))], 7)
+    assert is_rigid_bruteforce(ws, [Weight((0, 1, 0))], 2).ok
 
 
 def test_enumerate_faces_segment(a1_adjoint):
@@ -242,7 +254,7 @@ def test_hull_matches_recursive_oracle(name):
 
 def _affine_dim(points) -> int:
     base = points[0]
-    diffs = [[Fraction(a - b) for a, b in zip(p, base)] for p in points]
+    diffs = [[a - b for a, b in zip(p, base)] for p in points]
     return len(_rref(diffs, len(base))[1])
 
 

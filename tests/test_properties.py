@@ -5,20 +5,23 @@ operations, constituents by building the tensor product with V(lam) and
 peeling off maximal weights, the face LP with rational pairing rows and
 Fourier-Motzkin elimination without row pruning (also on random integer
 systems), the pairing row as the lcm of a Fraction row, the face distance with
-its pairing in Fraction arithmetic, the affine solve with a Fraction null
-basis, and simple-root coordinates through a Fraction inverse Cartan matrix.
-Brauer-Klimyk constituents, the product-pass powers, the integer, pruned face
-LP and its elimination, the integer pairing row and the face order through it,
-the integer null basis and the integer root-cone test must agree with them
-exactly.
+its pairing in Fraction arithmetic, Gauss-Jordan elimination and the affine
+solve in Fractions, and simple-root coordinates through a Fraction inverse
+Cartan matrix. Brauer-Klimyk constituents, the product-pass powers, the
+integer, pruned face LP and its elimination, the integer pairing row and the
+face order through it, the fraction-free elimination kernel, the integer
+particular solution and null basis, and the integer root-cone test must agree
+with them exactly.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _rref as rref_fraction
 from oracles import (
     constituents_by_subtraction,
     expand_power_bruteforce,
@@ -52,7 +55,7 @@ from facekoszul import (
 from facekoszul.cli import _adjoint_spec
 from facekoszul.errors import VirtualCharacterError
 from facekoszul.facegeom import FaceSubset, _fm_feasible_point, _pairing_row, _solve_equalities
-from facekoszul.rootsystem import datum_from_json
+from facekoszul.rootsystem import _rref, datum_from_json
 
 TYPES = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3")
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -205,6 +208,12 @@ def _adjoint_ws(name):
     return weight_system(rs, _adjoint_spec(rs))
 
 
+@pytest.mark.parametrize("name", ("A2", "B3", "G2", "F4", "A2 1,0+0,1"))
+def test_weight_system_carries_every_pairing_row(name):
+    ws = _lp_weight_system(len(LP_TYPES)) if " " in name else _adjoint_ws(name)
+    assert ws.pairing_rows == {w: _pairing_row(ws.rs, w) for w in ws.weights}
+
+
 @PROPERTY
 @given(data=st.data(), name=st.sampled_from(PAIR_TYPES))
 def test_pair_row_matches_fraction_lcm(data, name):
@@ -254,6 +263,54 @@ def test_fm_feasible_point_matches_unpruned_elimination(system):
         assert all(sum(c * x for c, x in zip(coeffs, point)) <= rhs for coeffs, rhs in ineqs)
 
 
+@st.composite
+def integer_matrices(draw):
+    """(rows, ncols): up to 8 unknowns and 3 augmented columns, negative
+    entries, all-zero rows, and integer combinations of earlier rows, so that
+    many matrices are rank-deficient."""
+    ncols = draw(st.integers(0, 8))
+    width = ncols + draw(st.integers(0, 3))
+    entry = st.one_of(st.sampled_from((0, 0, 0, 1, -1)), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=7))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        j, k = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([j * x + k * y for x, y in zip(a, b)])
+    rows += [[0] * width for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(rows)), ncols
+
+
+def _assert_matches_fraction_rref(rows, ncols):
+    got, pivots = _rref(rows, ncols)
+    want, want_pivots = rref_fraction([list(map(Fraction, row)) for row in rows], ncols)
+    assert pivots == want_pivots
+    assert all(type(x) is int for row in got for x in row)
+    for row, ref, col in zip(got, want, pivots):
+        assert row[col] > 0 and gcd(*row) == 1
+        assert [Fraction(x, row[col]) for x in row] == ref
+    # Every later row is a nonzero multiple of the Fraction one, zero in the
+    # first ncols columns.
+    for row, ref in zip(got[len(pivots):], want[len(pivots):]):
+        assert not any(row[:ncols])
+        assert [x == 0 for x in row] == [y == 0 for y in ref]
+        assert len({Fraction(x) / y for x, y in zip(row, ref) if y}) <= 1
+
+
+@PROPERTY
+@given(matrix=integer_matrices())
+def test_integer_rref_matches_fraction_rref(matrix):
+    _assert_matches_fraction_rref(*matrix)
+
+
+@pytest.mark.parametrize("name", ("E8", "F4"))
+def test_integer_rref_inverts_cartan_matrices(name):
+    # [A | I], as build_root_system reduces it
+    cartan = _rs(name).datum.cartan
+    n = len(cartan)
+    _assert_matches_fraction_rref([[*row, *(int(i == j) for j in range(n))]
+                                   for i, row in enumerate(cartan)], n)
+
+
 @PROPERTY
 @given(data=st.data(), index=st.integers(0, len(LP_TYPES)))
 def test_integer_null_basis_scales_the_fraction_basis(data, index):
@@ -261,18 +318,24 @@ def test_integer_null_basis_scales_the_fraction_basis(data, index):
     rs = ws.rs
     subset = data.draw(st.lists(st.sampled_from(sorted(ws.weights)), min_size=1, max_size=3))
     scale = data.draw(st.sampled_from((1, 2, 6)))
-    eqs = [(_pairing_row(rs, w), Fraction(scale)) for w in subset]
+    eqs = [(_pairing_row(rs, w), scale) for w in subset]
     got, want = _solve_equalities(eqs, rs.rank), solve_equalities_fraction(eqs, rs.rank)
     assert (got is None) == (want is None)
     if got is None:
         return
-    assert got[0] == want[0]
-    assert len(got[1]) == len(want[1])
-    for vec, ref in zip(got[1], want[1]):
+    nums, den, basis = got
+    # the particular solution over its least common denominator
+    assert all(type(x) is int for x in nums) and type(den) is int
+    assert [Fraction(x, den) for x in nums] == want[0]
+    assert den == lcm(*(p.denominator for p in want[0]))
+    assert len(basis) == len(want[1])
+    for vec, ref in zip(basis, want[1]):
         assert all(type(x) is int for x in vec)
         ratios = {Fraction(x) / y for x, y in zip(vec, ref) if y}
         assert all(x == 0 for x, y in zip(vec, ref) if not y)
         assert len(ratios) == 1 and min(ratios) > 0
+        # each vector is the Fraction one over its least common denominator
+        assert vec == [y * lcm(*(c.denominator for c in ref)) for y in ref]
 
 
 # Root data for the root-cone test: series types, and two products as custom
