@@ -1,11 +1,11 @@
 """Finite-support character arithmetic over a fixed root system.
 
 Characters are finite maps weight -> integer multiplicity. Irreducible
-characters come from Freudenthal's recursion; tensor products are support
-convolutions; exterior and symmetric powers come out of one division-free
-product pass over the weights, truncated at the wanted degree; irreducible
-multiplicities are extracted by maximal-weight subtraction, cross-checkable
-against the signed Weyl-orbit sum.
+characters come from Freudenthal's recursion, memoized in this process only;
+tensor products are support convolutions; exterior and symmetric powers come
+out of one division-free product pass over the weights, truncated at the
+wanted degree; irreducible multiplicities are extracted by maximal-weight
+subtraction, cross-checkable against the signed Weyl-orbit sum.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ __all__ = [
     "decompose",
     "is_weyl_invariant",
     "weight_sort_key",
-    "character_key",
-    "set_disk_cache",
 ]
 
 
@@ -103,21 +101,8 @@ def weight_sort_key(rs: RootSystem, w):
     return (rs.height2(w), tuple(w))
 
 
-# In-memory memo for irreducible characters plus an optional persistent layer
-# (installed by the CLI). Writes are idempotent, so racing threads are safe.
+# Memo for irreducible characters, keyed by (root-system key, highest weight).
 _MEMO: dict[tuple[str, Weight], Character] = {}
-_DISK = None
-
-
-def set_disk_cache(cache) -> None:
-    """Install a persistent cache with .lookup(key), .store(key, weights) and
-    .replace(key, weights)."""
-    global _DISK
-    _DISK = cache
-
-
-def character_key(rs: RootSystem, lam) -> str:
-    return f"{rs.key}|{','.join(str(c) for c in lam)}"
 
 
 def irr_character(rs: RootSystem, lam) -> Character:
@@ -128,40 +113,27 @@ def irr_character(rs: RootSystem, lam) -> Character:
     memo_key = (rs.key, lam)
     hit = _MEMO.get(memo_key)
     if hit is not None:
-        if _DISK is not None:
-            key = character_key(rs, lam)
-            if _DISK.lookup(key) is None:
-                _DISK.store(key, [[list(w), m] for w, m in sorted(hit.mults.items())])
         return hit
     expected_dim = weyl_dim(rs, lam)
-    stored = None
-    if _DISK is not None:
-        stored = _DISK.lookup(character_key(rs, lam))
-        if stored is not None:
-            ch = Character(rs, {Weight(w): int(m) for w, m in stored})
-            if ch.dimension == expected_dim and ch.get(lam) == 1 and is_weyl_invariant(ch):
-                _MEMO[memo_key] = ch
-                return ch
     ch = Character(rs, _freudenthal(rs, lam))
     if ch.dimension != expected_dim:
         raise ArithmeticError(
             f"Freudenthal dimension {ch.dimension} != Weyl dimension {expected_dim} at {tuple(lam)}"
         )
     _MEMO[memo_key] = ch
-    if _DISK is not None:
-        # a stored line that failed the checks above is overwritten
-        write = _DISK.store if stored is None else _DISK.replace
-        write(character_key(rs, lam), [[list(w), m] for w, m in sorted(ch.mults.items())])
     return ch
 
 
 def _freudenthal(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     """All weights of V(lam) with multiplicities, level by level from the top.
 
-    A candidate mu belongs to the support iff its dominant representative d
-    satisfies lam - d in the nonnegative root cone; multiplicities at dominant
-    weights come from the recursion, elsewhere from Weyl invariance. Both only
-    need values at strictly smaller depth, so one pass per level suffices.
+    Every weight mu != lam has a weight mu + alpha_i, so stepping down by simple
+    roots from the finished level reaches the whole next one. A dominant
+    candidate nu is a weight iff lam - nu lies in the root cone, and gets the
+    recursion. Otherwise let j be its first negative coordinate: s_j nu =
+    nu - nu_j alpha_j is strictly higher, so nu is a weight iff s_j nu is
+    already in the map, with the same multiplicity (Weyl invariance). Both
+    rules read only strictly higher levels.
     """
     ip = rs.ip
     simple = rs.simple_roots
@@ -171,44 +143,41 @@ def _freudenthal(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     top_norm = ip(lam_rho, lam_rho)
     pos_data = [(alpha, ip(alpha, alpha)) for alpha in rs.positive_roots]
 
+    def recursion(nu: Weight) -> int:
+        acc = 0
+        for alpha, step in pos_data:
+            base = ip(nu, alpha)
+            k = 1
+            while True:
+                m = mults.get(nu + k * alpha)
+                if m is None:
+                    break
+                acc += m * (base + k * step)
+                k += 1
+        nu_rho = nu + rho
+        q, r = divmod(2 * acc, top_norm - ip(nu_rho, nu_rho))
+        if r or q <= 0:
+            raise ArithmeticError(f"Freudenthal recursion failed at {tuple(nu)}")
+        return q
+
     mults: dict[Weight, int] = {lam: 1}
-    dom_of: dict[Weight, Weight] = {lam: lam}
-    rejected: set[Weight] = set()
     level = [lam]
     while level:
         fresh: list[Weight] = []
         for mu in level:
             for alpha in simple:
                 nu = mu - alpha
-                if nu in dom_of or nu in rejected:
+                if nu in mults:
                     continue
-                dom, _, _ = to_dominant_signed(rs, nu)
-                if not in_root_cone(lam - dom):
-                    rejected.add(nu)
-                    continue
-                dom_of[nu] = dom
-                fresh.append(nu)
-        for nu in fresh:
-            dom = dom_of[nu]
-            if dom != nu:
-                mults[nu] = mults[dom]
-                continue
-            acc = 0
-            for alpha, step in pos_data:
-                base = ip(nu, alpha)
-                k = 1
-                while True:
-                    m = mults.get(nu + k * alpha)
-                    if m is None:
+                for j, c in enumerate(nu):
+                    if c < 0:
+                        m = mults.get(nu - c * simple[j])
                         break
-                    acc += m * (base + k * step)
-                    k += 1
-            nu_rho = nu + rho
-            denom = top_norm - ip(nu_rho, nu_rho)
-            q, r = divmod(2 * acc, denom)
-            if r or q <= 0:
-                raise ArithmeticError(f"Freudenthal recursion failed at {tuple(nu)}")
-            mults[nu] = q
+                else:
+                    m = recursion(nu) if in_root_cone(lam - nu) else None
+                if m is not None:
+                    mults[nu] = m
+                    fresh.append(nu)
         level = fresh
     return mults
 

@@ -13,8 +13,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import cache as cachemod
-from .characters import Character, ModuleSpec, decompose, irr_character, set_disk_cache
+from .characters import Character, ModuleSpec, decompose, irr_character
 from .errors import (
     CartanDatumError,
     FaceCertificateError,
@@ -132,15 +131,15 @@ def _require_face(ws, subset, bound: int):
 
 def _build_gamma(face, args) -> GradedSet:
     rank = face.ws.rs.rank
-    if getattr(args, "gamma", None):
+    if args.gamma:
         points = [_parse_point(p, rank) for p in args.gamma.split(";") if p.strip()]
         gs = GradedSet.build(face, points)
         if not gs.interval_closed:
             raise NotIntervalClosedError("the given point set is not interval-closed")
         return gs
-    lo = _parse_point(args.lo, rank)
-    hi = _parse_point(args.hi, rank)
-    return face_interval(face, lo, hi)
+    if not (args.lo and args.hi):
+        raise CliParseError(f"{args.command} needs --lo and --hi, or a nonempty --gamma")
+    return face_interval(face, _parse_point(args.lo, rank), _parse_point(args.hi, rank))
 
 
 def _point_json(p: GradedWeight):
@@ -355,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         "numerical Koszulity certificates.",
     )
     p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-    p.add_argument("--cache-dir", default=None, help="character cache directory")
-    p.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
+    p.add_argument("--cache-dir", default=None, help="accepted for compatibility; does nothing")
+    p.add_argument("--no-cache", action="store_true",
+                   help="accepted for compatibility; does nothing")
     p.add_argument("--max-depth", type=int, default=6, help="depth bound for downsets")
     p.add_argument("--max-k", type=int, default=6, help="search bound for the witness weight")
     sub = p.add_subparsers(dest="command", required=True)
@@ -412,11 +412,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_bind_negative_values(argv))
     except SystemExit as exc:  # argparse reports usage errors via SystemExit
         return int(exc.code or 0)
-    cache = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or cachemod.default_cache_dir()
-        cache = cachemod.CharacterCache(cache_dir)
-        set_disk_cache(cache)
     try:
         code, obj, lines = _HANDLERS[args.command](args)
     except _NotAFace as exc:
@@ -438,10 +433,6 @@ def main(argv=None) -> int:
     except (CliParseError, CartanDatumError, GuardLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    finally:
-        if cache is not None:
-            cache.flush()
-            set_disk_cache(None)
     if args.json:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:

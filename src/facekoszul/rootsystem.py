@@ -207,7 +207,7 @@ class CartanDatum:
 
     @property
     def key(self) -> str:
-        """Canonical string, used for cache keys."""
+        """Canonical string, used for memo keys."""
         rows = ";".join(",".join(str(x) for x in row) for row in self.cartan)
         return f"r{self.rank}[{rows}]d{','.join(str(x) for x in self.symmetrizer)}"
 
@@ -325,15 +325,6 @@ class RootSystem:
     @property
     def key(self) -> str:
         return self.datum.key
-
-    def pairing(self, x, y) -> Fraction:
-        """Exact invariant form <x, y>."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.form[i]
-                total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-        return total
 
     def ip(self, x, y) -> int:
         """Integer-rescaled form, for order/sign/ratio computations."""

@@ -231,7 +231,11 @@ def face_interval(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> GradedS
 
 
 def face_downset(face: FaceSubset, q: GradedWeight, max_depth: int) -> GradedSet:
-    """All points below q in the face order within the given distance."""
+    """All points below q in the face order within the given distance.
+
+    Interval-closed by construction: a point r with p <= r <= q is no farther
+    from q than p is, so it was collected too.
+    """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     out = {q}
@@ -241,7 +245,7 @@ def face_downset(face: FaceSubset, q: GradedWeight, max_depth: int) -> GradedSet
         for w in layer:
             if w.is_dominant:
                 out.add(GradedWeight(w, q.degree - k))
-    return GradedSet.build(face, out)
+    return GradedSet(face, tuple(out), True)
 
 
 def is_interval_closed(face: FaceSubset, points) -> bool:

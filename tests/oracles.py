@@ -9,7 +9,15 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 
-from facekoszul import Character, Weight, adams, decompose, irr_character, tensor
+from facekoszul import (
+    Character,
+    Weight,
+    adams,
+    decompose,
+    irr_character,
+    tensor,
+    to_dominant_signed,
+)
 from facekoszul.errors import FaceCertificateError, VirtualCharacterError
 from facekoszul.weightposet import _decomposable
 
@@ -76,6 +84,56 @@ def root_coords_fraction(rs, w):
 def in_root_cone_fraction(rs, w):
     """w in Q+: every simple-root coordinate is a nonnegative integer."""
     return all(c.denominator == 1 and c >= 0 for c in root_coords_fraction(rs, w))
+
+
+def pairing(rs, x, y):
+    """The invariant form <x, y> in Fraction arithmetic through `rs.form`."""
+    return sum((xi * rs.form[i][j] * yj for i, xi in enumerate(x) for j, yj in enumerate(y)),
+               Fraction(0))
+
+
+def freudenthal_dominant_walk(rs, lam):
+    """Freudenthal's recursion, level by level from lam, deciding each candidate
+    by walking it to its dominant representative d: it is a weight iff lam - d
+    is in the root cone, and a non-dominant weight takes the multiplicity of d."""
+    ip, rho = rs.ip, rs.rho
+    lam = Weight(lam)
+    top_norm = ip(lam + rho, lam + rho)
+    pos_data = [(alpha, ip(alpha, alpha)) for alpha in rs.positive_roots]
+    mults = {lam: 1}
+    dom_of = {lam: lam}
+    rejected = set()
+    level = [lam]
+    while level:
+        fresh = []
+        for mu in level:
+            for alpha in rs.simple_roots:
+                nu = mu - alpha
+                if nu in dom_of or nu in rejected:
+                    continue
+                dom = to_dominant_signed(rs, nu)[0]
+                if not rs.in_root_cone(lam - dom):
+                    rejected.add(nu)
+                    continue
+                dom_of[nu] = dom
+                fresh.append(nu)
+        for nu in fresh:
+            dom = dom_of[nu]
+            if dom != nu:
+                mults[nu] = mults[dom]
+                continue
+            acc = 0
+            for alpha, step in pos_data:
+                k = 1
+                while nu + k * alpha in mults:
+                    acc += mults[nu + k * alpha] * (ip(nu, alpha) + k * step)
+                    k += 1
+            q, r = divmod(2 * acc, top_norm - ip(nu + rho, nu + rho))
+            if r or q <= 0:
+                raise ArithmeticError(f"Freudenthal recursion failed at {tuple(nu)}")
+            mults[nu] = q
+        level = fresh
+    return mults
 
 
 def expand_power_bruteforce(ch, j, kind):
@@ -237,14 +295,14 @@ def pair_row_fraction(ws, functional):
 
 def face_distance_fraction(face, mu, nu):
     """Face distance with the pairing in Fraction arithmetic through
-    `rs.pairing`: <functional, nu - mu> must be a positive integer d, and then
+    `pairing`: <functional, nu - mu> must be a positive integer d, and then
     nu - mu must be a sum of exactly d members of the subset."""
     if face.functional is None:
         raise FaceCertificateError("face subset carries no certificate")
     delta = Weight(nu) - Weight(mu)
     if not any(delta):
         return 0
-    val = face.ws.rs.pairing(face.functional, delta)
+    val = pairing(face.ws.rs, face.functional, delta)
     if val.denominator != 1 or val <= 0:
         return None
     d = int(val)

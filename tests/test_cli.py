@@ -354,6 +354,18 @@ REPORT_SHA256 = {
         "009ad290bf9c14df73ac457315a47da1fe4913d67457b393f743e40c2fdb7c2b",
     ("rigid", "C4", "adjoint", "--face=0,0,-2,2", "--bound", "1"):
         "fddf6fb2b2b80bbf702e92d7a87f779688e5c6e23ca9e246172bfa34759bc4e4",
+    # exceptional adjoint characters from the dominant-walk Freudenthal recursion,
+    # and a downset that still went through the interval-closedness check
+    ("character", "E6", "0,1,0,0,0,0"):
+        "15229c54a0a91fb8dcd5a6a699e4a1af60ddf680695a8914e02feeae77ecc42c",
+    ("character", "E7", "1,0,0,0,0,0,0"):
+        "e201298787a3d0555b79154cef2b9e3ab07733c2e9ef4ae89592381b9469302b",
+    ("character", "E8", "0,0,0,0,0,0,0,1"):
+        "6265775a0300654653b5ce32f9c505d33e46aac07fd2e13162691345fce54063",
+    ("character", "F4", "1,0,0,0"):
+        "a72b5b4987f87d3840d8b5e302984da8aa8c93035e28b49a33616033d8740934",
+    ("interval", "B2", "adjoint", "--face=-2,2;-1,0;0,-2", "--down-from=2,2@6"):
+        "8b30909a813fb390f338de538d7ff87e9fcf53eb3f95db39350bba6f7b351068",
 }
 
 
@@ -386,14 +398,33 @@ def test_workers_flag_removed(run):
     run("--workers", "4", "roots", "A1", expect=2)
 
 
-def test_cache_file_written_and_reused(run, tmp_path):
-    run("--json", "character", "A2", "2,2")
-    cache_file = tmp_path / "cache" / "characters.jsonl"
-    assert cache_file.exists()
-    before = cache_file.read_text()
-    out = run("--json", "character", "A2", "2,2")
-    assert json.loads(out)["dimension"] == 27
-    assert cache_file.read_text() == before
+@pytest.mark.parametrize("command", ["gldim", "koszul"])
+@pytest.mark.parametrize("points", [(), ("--gamma=",), ("--lo=0,0@0",)], ids=repr)
+def test_missing_point_set_exit_2(command, points, capsys):
+    code = main([command, "A2", "adjoint", "--face=2,-1", *points])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {command} needs --lo and --hi, or a nonempty --gamma\n"
+
+
+def test_cache_dir_naming_a_file_is_ignored(tmp_path, capsys):
+    # Nothing is persisted, so a --cache-dir that is a regular file cannot
+    # stop the report from being printed.
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    code = main(["--cache-dir", str(path), "--json", "character", "A2", "2,2"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 27
+
+
+def test_no_file_written_under_any_cache_location(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setenv("FACEKOSZUL_CACHE_DIR", str(tmp_path / "env"))
+    for args in (["--cache-dir", str(tmp_path / "flag")], []):
+        code = main([*args, "--json", "character", "B2", "1,1"])
+        assert code == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["dimension"] == 16
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entrypoint_smoke():

@@ -6,12 +6,13 @@ peeling off maximal weights, the face LP with rational pairing rows and
 Fourier-Motzkin elimination without row pruning (also on random integer
 systems), the pairing row as the lcm of a Fraction row, the face distance with
 its pairing in Fraction arithmetic, Gauss-Jordan elimination and the affine
-solve in Fractions, and simple-root coordinates through a Fraction inverse
-Cartan matrix. Brauer-Klimyk constituents, the product-pass powers, the
+solve in Fractions, simple-root coordinates through a Fraction inverse Cartan
+matrix, and Freudenthal's recursion deciding each candidate by walking it to
+the dominant chamber. Brauer-Klimyk constituents, the product-pass powers, the
 integer, pruned face LP and its elimination, the integer pairing row and the
 face order through it, the fraction-free elimination kernel, the integer
-particular solution and null basis, and the integer root-cone test must agree
-with them exactly.
+particular solution and null basis, the integer root-cone test and the
+one-reflection Freudenthal recursion must agree with them exactly.
 """
 
 from fractions import Fraction
@@ -28,9 +29,11 @@ from oracles import (
     face_distance_fraction,
     face_functional_fraction_rows,
     fm_feasible_point_unpruned,
+    freudenthal_dominant_walk,
     in_root_cone_fraction,
     newton_power,
     pair_row_fraction,
+    pairing,
     root_coords_fraction,
     solve_equalities_fraction,
 )
@@ -52,6 +55,7 @@ from facekoszul import (
     symmetric_power,
     weight_system,
 )
+from facekoszul.characters import _freudenthal
 from facekoszul.cli import _adjoint_spec
 from facekoszul.errors import VirtualCharacterError
 from facekoszul.facegeom import FaceSubset, _fm_feasible_point, _pairing_row, _solve_equalities
@@ -174,7 +178,7 @@ def certified_subsets(draw):
 def test_integer_pairing_row_matches_fraction_pairing(data, face):
     rs = face.ws.rs
     w = data.draw(st.tuples(*[st.integers(-20, 20)] * rs.rank))
-    assert face.pair(w) == rs.pairing(face.functional, w)
+    assert face.pair(w) == pairing(rs, face.functional, w)
     assert face.pair_den >= 1 and all(isinstance(c, int) for c in face.pair_row)
 
 
@@ -374,3 +378,33 @@ def test_root_cone_matches_fraction_inverse_cartan(data, name):
             w = w + Weight(int(i == k) for i in range(n))
     assert rs.root_coords(w) == root_coords_fraction(rs, w)
     assert rs.in_root_cone(w) == in_root_cone_fraction(rs, w)
+
+
+# Random dominant weights on the types of rank <= 4, with a coordinate cap per
+# rank that keeps the oracle's walk to about a second at worst (F4 at rho).
+FREUDENTHAL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4")
+FREUDENTHAL_CAP = {1: 8, 2: 5, 3: 2, 4: 1}
+
+
+def _assert_same_freudenthal(rs, lam):
+    # the same weights, multiplicities and discovery order
+    new = list(_freudenthal(rs, lam).items())
+    assert new == list(freudenthal_dominant_walk(rs, lam).items())
+
+
+@PROPERTY
+@given(data=st.data(), name=st.sampled_from(FREUDENTHAL_TYPES))
+def test_freudenthal_matches_dominant_walk(data, name):
+    rs = _rs(name)
+    cap = FREUDENTHAL_CAP[rs.rank]
+    lam = Weight(data.draw(st.tuples(*[st.integers(0, cap)] * rs.rank)))
+    _assert_same_freudenthal(rs, lam)
+
+
+@pytest.mark.parametrize("name, lam", [
+    ("E6", (0, 1, 0, 0, 0, 0)),
+    ("E7", (1, 0, 0, 0, 0, 0, 0)),
+    ("E8", (0, 0, 0, 0, 0, 0, 0, 1)),
+])
+def test_freudenthal_matches_dominant_walk_on_e_adjoints(name, lam):
+    _assert_same_freudenthal(_rs(name), Weight(lam))

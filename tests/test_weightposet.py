@@ -10,6 +10,7 @@ from facekoszul import (
     GradedWeight,
     Weight,
     covers,
+    enumerate_face_subsets,
     face_distance,
     face_downset,
     face_graded_leq,
@@ -19,8 +20,10 @@ from facekoszul import (
     interval_coincidence,
     is_interval_closed,
     lies_on_proper_face,
+    root_system,
+    weight_system,
 )
-from facekoszul.cli import main
+from facekoszul.cli import _adjoint_spec, main
 from facekoszul.errors import FaceCertificateError, IncomparableError
 
 
@@ -159,6 +162,19 @@ def test_downset(a1_adjoint):
         smaller = set(face_downset(fneg, q, depth - 1).points)
         larger = set(face_downset(fneg, q, depth).points)
         assert smaller <= larger
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_downsets_are_interval_closed(name):
+    # face_downset flags its result closed without the check; the check is
+    # the oracle here, on every face of the adjoint from two tops.
+    ws = weight_system(root_system(name), _adjoint_spec(root_system(name)))
+    n = ws.rs.rank
+    for face in enumerate_face_subsets(ws):
+        for top in (Weight((1,) * n), Weight((2,) + (0,) * (n - 1))):
+            ds = face_downset(face, GradedWeight(top, 3), 3)
+            assert ds.interval_closed and len(ds.points) >= 1
+            assert is_interval_closed(face, ds.points)
 
 
 def test_is_interval_closed(a1_vertex):
