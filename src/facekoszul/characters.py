@@ -2,16 +2,16 @@
 
 Characters are finite maps weight -> integer multiplicity. Irreducible
 characters come from Freudenthal's recursion, memoized in this process only;
-tensor products are support convolutions; exterior and symmetric powers come
-out of one division-free product pass over the weights, truncated at the
-wanted degree; irreducible multiplicities are extracted by maximal-weight
-subtraction, cross-checkable against the signed Weyl-orbit sum.
+tensor products are support convolutions; exterior and symmetric powers of
+every degree up to a bound come out of one division-free pass, one factor
+(1 + x^w) or 1/(1 - x^w) per unit of weight multiplicity; irreducible
+multiplicities are extracted by maximal-weight subtraction, cross-checkable
+against the signed Weyl-orbit sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from operator import add
 from types import MappingProxyType
 
@@ -25,6 +25,7 @@ __all__ = [
     "module_character",
     "tensor",
     "adams",
+    "power_layers",
     "exterior_power",
     "symmetric_power",
     "mult_in",
@@ -214,49 +215,44 @@ def adams(ch: Character, k: int) -> Character:
     return Character(ch.rs, {k * w: m for w, m in ch.mults.items()})
 
 
-def _product_power(ch: Character, j: int, alternating: bool) -> Character:
-    """Degree-j part of prod (1 + x^w)^m (exterior) or prod (1 - x^w)^-m
-    (symmetric) over the weights w of multiplicity m, truncated at degree j.
+def power_layers(ch: Character, top: int, alternating: bool) -> list[dict]:
+    """Degrees 0..top of prod (1 + x^w) (exterior) or prod 1/(1 - x^w)
+    (symmetric), one factor per unit of multiplicity of each weight w of ch.
 
-    Each factor expands as sum_k C(m, k) x^(k w), resp. C(m + k - 1, k) x^(k w),
-    so every coefficient is a nonnegative integer and no division occurs. The
-    degree layers are updated from the top down, which lets each factor read the
-    lower layers as they stood before it. Keys are plain tuples until the end.
+    A factor 1/(1 - x^w) updates the degree layers bottom-up, new[d] = old[d] +
+    x^w new[d-1]; a factor (1 + x^w) top-down, new[d] = old[d] + x^w old[d-1].
+    So every degree comes out of one pass, every coefficient is a nonnegative
+    integer and no division occurs. Exterior layers stop at degree dim ch: the
+    ones past it are empty and are not returned. Keys are plain tuples.
     """
-    if j < 0:
+    if top < 0:
         raise ValueError("power degree must be nonnegative")
-    rs = ch.rs
     if any(m < 0 for m in ch.mults.values()):
         raise VirtualCharacterError("negative multiplicity in a power argument; not a character")
-    if alternating and j > ch.dimension:
-        return Character(rs, {})
-    layers: list[dict] = [{(0,) * rs.rank: 1}] + [{} for _ in range(j)]
+    if alternating:
+        top = min(top, ch.dimension)
+    layers: list[dict] = [{(0,) * ch.rs.rank: 1}] + [{} for _ in range(top)]
+    degrees = range(top, 0, -1) if alternating else range(1, top + 1)
     for w, m in ch.mults.items():
-        top = min(m, j) if alternating else j
-        terms = [
-            (k, comb(m, k) if alternating else comb(m + k - 1, k), tuple(k * c for c in w))
-            for k in range(1, top + 1)
-        ]
-        for d in range(j, 0, -1):
-            layer = layers[d]
-            get = layer.get
-            for k, coeff, shift in terms:
-                if k > d:
-                    break
-                for u, v in layers[d - k].items():
-                    key = tuple(map(add, u, shift))
-                    layer[key] = get(key, 0) + coeff * v
-    return Character(rs, layers[j])
+        for _ in range(m):
+            for d in degrees:
+                layer = layers[d]
+                get = layer.get
+                for u, v in layers[d - 1].items():
+                    key = tuple(map(add, u, w))
+                    layer[key] = get(key, 0) + v
+    return layers
 
 
 def exterior_power(ch: Character, j: int) -> Character:
-    """Character of the j-th exterior power: degree j of prod (1 + x^w)^m."""
-    return _product_power(ch, j, alternating=True)
+    """Character of the j-th exterior power: the last layer of `power_layers`."""
+    layers = power_layers(ch, j, alternating=True)
+    return Character(ch.rs, layers[j] if j < len(layers) else {})
 
 
 def symmetric_power(ch: Character, j: int) -> Character:
-    """Character of the j-th symmetric power: degree j of prod (1 - x^w)^-m."""
-    return _product_power(ch, j, alternating=False)
+    """Character of the j-th symmetric power: the last layer of `power_layers`."""
+    return Character(ch.rs, power_layers(ch, j, alternating=False)[j])
 
 
 def _subtract(rem: dict, sub, c: int) -> None:

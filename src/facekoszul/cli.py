@@ -131,14 +131,17 @@ def _require_face(ws, subset, bound: int):
 
 def _build_gamma(face, args) -> GradedSet:
     rank = face.ws.rs.rank
+    needs = f"{args.command} needs --lo and --hi, or a nonempty --gamma"
     if args.gamma:
         points = [_parse_point(p, rank) for p in args.gamma.split(";") if p.strip()]
+        if not points:
+            raise CliParseError(needs)
         gs = GradedSet.build(face, points)
         if not gs.interval_closed:
             raise NotIntervalClosedError("the given point set is not interval-closed")
         return gs
     if not (args.lo and args.hi):
-        raise CliParseError(f"{args.command} needs --lo and --hi, or a nonempty --gamma")
+        raise CliParseError(needs)
     return face_interval(face, _parse_point(args.lo, rank), _parse_point(args.hi, rank))
 
 

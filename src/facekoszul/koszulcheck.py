@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import FaceCertificateError, NotIntervalClosedError
 from .facegeom import FaceSubset
-from .homdims import ext_dim, gldim, proj_mult, witness_search
+from .homdims import ext_dim, gldim, prepare_powers, proj_mult, witness_search
 from .rootsystem import Weight
 from .weightposet import GradedSet, GradedWeight, face_graded_leq, face_interval
 
@@ -67,14 +67,17 @@ class PolyMatrix:
         # take care of themselves and only the coefficients multiply.
         if self.index != other.index:
             raise ValueError("matrix indices differ")
-        cols = tuple(zip(*other.entries))
-        return PolyMatrix(
-            self.index,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col) if a) for col in cols)
-                for row in self.entries
-            ),
-        )
+        n = len(self.index)
+        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [0] * n
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in nonzero[k]:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return PolyMatrix(self.index, tuple(out))
 
     def to_json_obj(self):
         deg = [p.degree for p in self.index]
@@ -87,18 +90,21 @@ class PolyMatrix:
         }
 
 
-def _hilbert(face: FaceSubset, gamma: GradedSet, value) -> PolyMatrix:
+def _hilbert(face: FaceSubset, gamma: GradedSet, kind: str, value) -> PolyMatrix:
     """Unitriangular matrix in gamma's stored order, a linear extension:
     entry (row, col) is value(col, row) when col < row in the face order, else 0.
 
     linear_key sorts by degree first and col < row forces deg col < deg row,
-    so every entry above the diagonal is 0 without asking the face order.
+    so every entry above the diagonal is 0 without asking the face order. The
+    power layers of the given kind are built to gamma's degree span first.
     """
     if not gamma.interval_closed:
         raise NotIntervalClosedError("Hilbert matrices need an interval-closed set")
     if face.functional is None:
         raise FaceCertificateError("Hilbert matrices need a certified face subset")
     pts = gamma.points
+    if pts:
+        prepare_powers(face.ws, kind, pts[-1].degree - pts[0].degree)
 
     def entry(i: int, j: int) -> int:
         if i <= j:
@@ -114,7 +120,7 @@ def hilbert_projective(face: FaceSubset, gamma: GradedSet) -> PolyMatrix:
     """Graded Hom dimensions between projective covers: entry (target, source)
     is t^gap times the multiplicity of the target simple in the source cover."""
     ws = face.ws
-    return _hilbert(face, gamma, lambda col, row: proj_mult(ws, col, row))
+    return _hilbert(face, gamma, "sym", lambda col, row: proj_mult(ws, col, row))
 
 
 def hilbert_yoneda_neg(face: FaceSubset, gamma: GradedSet) -> PolyMatrix:
@@ -126,7 +132,7 @@ def hilbert_yoneda_neg(face: FaceSubset, gamma: GradedSet) -> PolyMatrix:
         m = ext_dim(ws, col, row)
         return -m if (row.degree - col.degree) % 2 else m
 
-    return _hilbert(face, gamma, value)
+    return _hilbert(face, gamma, "ext", value)
 
 
 @dataclass(frozen=True)

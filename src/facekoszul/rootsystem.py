@@ -41,8 +41,8 @@ class Weight(tuple):
     def __new__(cls, coords):
         return super().__new__(cls, map(int, coords))
 
-    # Sums and differences of ints are ints: build the tuple without the
-    # per-coordinate int() of __new__.
+    # Sums, differences and negatives of ints are ints: build the tuple
+    # without the per-coordinate int() of __new__.
     def __add__(self, other):
         return tuple.__new__(Weight, [a + b for a, b in zip(self, other, strict=True)])
 
@@ -50,10 +50,11 @@ class Weight(tuple):
         return tuple.__new__(Weight, [a - b for a, b in zip(self, other, strict=True)])
 
     def __neg__(self):
-        return Weight(-a for a in self)
+        return tuple.__new__(Weight, [-a for a in self])
 
+    # Every caller scales by an int, so the products are ints too.
     def __mul__(self, k):
-        return Weight(k * a for a in self)
+        return tuple.__new__(Weight, [k * a for a in self])
 
     __rmul__ = __mul__
 

@@ -366,6 +366,25 @@ REPORT_SHA256 = {
         "a72b5b4987f87d3840d8b5e302984da8aa8c93035e28b49a33616033d8740934",
     ("interval", "B2", "adjoint", "--face=-2,2;-1,0;0,-2", "--down-from=2,2@6"):
         "8b30909a813fb390f338de538d7ff87e9fcf53eb3f95db39350bba6f7b351068",
+    # Koszul reports from constituent dicts and one power pass per degree: a
+    # 201-point A1 chain (about 60 s that way), a 101-point one with its
+    # witness, the 195-point A3 and 144-point B3 facets, a 66-point A2 edge with
+    # its witness, and an E6 vertex, where |W| = 51840 outweighs the supports.
+    ("koszul", "A1", "adjoint", "--face=2", "--lo=0@0", "--hi=400@200"):
+        "0265c39e0e17c51120cfde2ccc1cdc16dccb1783346bc8699a803b4eb751f600",
+    ("koszul", "A1", "adjoint", "--face=2", "--lo=0@0", "--hi=200@100", "--witness"):
+        "cf7a96c7fb5de460a06bc07e32b1c7c7c2c85347c3af8ee0807bdde05cc936bb",
+    ("koszul", "A3", "adjoint", "--face=-2,1,0;-1,-1,1;-1,1,1;0,-1,2",
+     "--lo=14,3,1@0", "--hi=2,3,13@12"):
+        "69db44b12e629bdaae326972d3dc6335aa9bccf9b215573a111701cea8c374ee",
+    ("koszul", "B3", "adjoint", "--face=-2,1,0;-1,-1,2;-1,0,0;-1,1,-2;0,-1,0",
+     "--lo=10,2,2@0", "--hi=0,2,2@10"):
+        "324692a823a6476e1e405145e5a2c42d3d3dc8eade9f911e6300c1b883174e9a",
+    ("koszul", "A2", "adjoint", "--face=2,-1;1,1", "--lo=0,0@0", "--hi=30,0@20", "--witness"):
+        "73b4440e962c298029c6b0cb622a7fe92c4a3544fd4fd9b81d4b6db559f10805",
+    ("koszul", "E6", "adjoint", "--face=0,1,0,0,0,0", "--lo=0,0,0,0,0,0@0",
+     "--hi=0,2,0,0,0,0@2"):
+        "f9fea8a53148dd230a968c6055a0d22bb5358dd9be6f72f1717cd36a72032fd2",
 }
 
 
@@ -399,7 +418,8 @@ def test_workers_flag_removed(run):
 
 
 @pytest.mark.parametrize("command", ["gldim", "koszul"])
-@pytest.mark.parametrize("points", [(), ("--gamma=",), ("--lo=0,0@0",)], ids=repr)
+@pytest.mark.parametrize("points", [(), ("--gamma=",), ("--lo=0,0@0",), ("--gamma=;",),
+                                    ("--gamma= ; ;", "--lo=0,0@0", "--hi=2,-1@1")], ids=repr)
 def test_missing_point_set_exit_2(command, points, capsys):
     code = main([command, "A2", "adjoint", "--face=2,-1", *points])
     err = capsys.readouterr().err

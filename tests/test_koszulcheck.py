@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -87,6 +88,25 @@ def test_matmul_accumulation_order_invariance(a2_edge):
             for k in reversed(range(n)):
                 rev = rev + he.entries[i][k] * hb.entries[k][j]
             assert fwd == rev == prod.entries[i][j]
+
+
+def test_sparse_matmul_on_arbitrary_matrices(a2_edge):
+    """The product over nonzero entries assumes no triangularity: it equals
+    the plain triple loop on random sparse and dense, non-triangular matrices."""
+    iv = face_interval(a2_edge, GradedWeight(Weight((0, 0)), 0), GradedWeight(Weight((3, 0)), 2))
+    n = len(iv.points)
+    rng = random.Random(12)
+    for density in (0.0, 0.2, 0.6, 1.0):
+        a, b = (
+            tuple(tuple(rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n))
+                  for _ in range(n))
+            for _ in range(2)
+        )
+        prod = PolyMatrix(iv.points, a).matmul(PolyMatrix(iv.points, b))
+        assert prod.index == iv.points
+        assert prod.entries == tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+        )
 
 
 def test_matmul_index_mismatch(a1_vertex, a1_chain):

@@ -8,15 +8,18 @@ systems), the pairing row as the lcm of a Fraction row, the face distance with
 its pairing in Fraction arithmetic, Gauss-Jordan elimination and the affine
 solve in Fractions, simple-root coordinates through a Fraction inverse Cartan
 matrix, and Freudenthal's recursion deciding each candidate by walking it to
-the dominant chamber. Brauer-Klimyk constituents, the product-pass powers, the
-integer, pruned face LP and its elimination, the integer pairing row and the
-face order through it, the fraction-free elimination kernel, the integer
-particular solution and null basis, the integer root-cone test and the
-one-reflection Freudenthal recursion must agree with them exactly.
+the dominant chamber. Constituent multiplicities from either side (the
+Racah-Speiser orbit sum and the Brauer-Klimyk support sum, which are also
+compared with each other up to rank 4), the one-pass powers, the integer,
+pruned face LP and its elimination, the integer pairing row and the face order
+through it, the fraction-free elimination kernel, the integer particular
+solution and null basis, the integer root-cone test and the one-reflection
+Freudenthal recursion must agree with them exactly.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -53,6 +56,7 @@ from facekoszul import (
     module_character,
     root_system,
     symmetric_power,
+    to_dominant_signed,
     weight_system,
 )
 from facekoszul.characters import _freudenthal
@@ -82,6 +86,11 @@ def modules(draw):
     return rs, ModuleSpec(summands)
 
 
+def _dominant_box(rank, cap):
+    """Every dominant weight with coordinates at most cap."""
+    return {Weight(c) for c in product(range(cap + 1), repeat=rank)}
+
+
 @PROPERTY
 @given(data=st.data(), module=modules(), j=st.integers(0, 4), kind=st.sampled_from(("ext", "sym")))
 def test_brauer_klimyk_matches_subtraction(data, module, j, kind):
@@ -89,8 +98,65 @@ def test_brauer_klimyk_matches_subtraction(data, module, j, kind):
     cap = 1 if rs.rank == 3 else 2
     lam = Weight(data.draw(st.tuples(*[st.integers(0, cap)] * rs.rank)))
     ws = weight_system(rs, spec)
-    oracle = constituents_by_subtraction(newton_power(module_character(rs, spec), j, kind), lam)
-    assert homdims._constituents(ws, lam, j, kind) == oracle
+    power = newton_power(module_character(rs, spec), j, kind)
+    oracle = constituents_by_subtraction(power, lam)
+    # every constituent, every dominant lam + mu over the power's weights and a
+    # box of small dominant weights; the ones outside the oracle must give 0
+    candidates = set(oracle) | {lam + mu for mu in power.mults} | _dominant_box(rs.rank, 3)
+    outside = 0
+    for nu in candidates:
+        if nu.is_dominant:
+            assert homdims._constituents(ws, lam, nu, j, kind) == oracle.get(nu, 0)
+            outside += nu not in oracle
+        else:
+            assert homdims._constituents(ws, lam, nu, j, kind) == 0
+    assert outside
+
+
+# The types above and the rank-4 ones, where |W| reaches 384.
+SIDE_TYPES = TYPES + ("A4", "B4", "C4", "D4")
+
+
+@PROPERTY
+@given(data=st.data(), name=st.sampled_from(SIDE_TYPES), j=st.integers(0, 3),
+       kind=st.sampled_from(("ext", "sym")))
+def test_orbit_side_matches_support_side(data, name, j, kind):
+    """Racah-Speiser over the orbit of nu + rho and Brauer-Klimyk over the
+    power's support give the same multiplicity, whichever side is cheaper."""
+    rs = _rs(name)
+    n = rs.rank
+    node = data.draw(st.integers(0, n - 1))
+    ws = weight_system(rs, ModuleSpec(((Weight(tuple(int(i == node) for i in range(n))), 1),)))
+    lam = Weight(data.draw(st.tuples(*[st.integers(0, 1)] * n)))
+    layer = homdims._power_char(ws, kind).layer(j)
+    reach = sorted({nu for mu in layer if (nu := lam + Weight(mu)).is_dominant})
+    nus = data.draw(st.lists(st.sampled_from(reach), max_size=8)) if reach else []
+    nus += data.draw(st.lists(st.sampled_from(sorted(_dominant_box(n, 2))), max_size=3))
+    module, powers = homdims._module_char(ws), homdims._power_char(ws, kind)
+    for nu in nus:
+        orbit = homdims._orbit_side(module, layer, lam, nu)
+        assert orbit == homdims._support_side(module, powers, lam, nu, j)
+        assert orbit == homdims._constituents(ws, lam, nu, j, kind)
+
+
+@pytest.mark.parametrize("name, order", [("A1", 2), ("A4", 120), ("B4", 384), ("C4", 384),
+                                         ("D4", 192), ("G2", 12), ("F4", 1152), ("E6", 51840),
+                                         ("E7", 2903040), ("E8", 696729600)])
+def test_weyl_order_from_root_heights(name, order):
+    rs = _rs(name)
+    spec = ModuleSpec(((Weight((1,) + (0,) * (rs.rank - 1)), 1),))
+    assert homdims._Module(weight_system(rs, spec)).weyl_order == order
+
+
+def test_signed_orbit_is_the_whole_regular_orbit():
+    ws = weight_system(_rs("B3"), ModuleSpec(((Weight((1, 0, 0)), 1),)))
+    module = homdims._Module(ws)
+    orbit = module.orbit(Weight((0, 1, 0)))
+    assert len(orbit) == module.weyl_order == 48
+    assert sum(sign for _, sign in orbit) == 0
+    for x, sign in orbit:
+        dom, walk_sign, singular = to_dominant_signed(ws.rs, x)
+        assert (dom, walk_sign, singular) == ((1, 2, 1), sign, False)
 
 
 @PROPERTY
@@ -113,14 +179,35 @@ def test_power_rejects_negative_multiplicities():
         symmetric_power(virtual, 1)
 
 
-def test_brauer_klimyk_rejects_a_non_character(monkeypatch):
-    # a lone lowest weight: -2 + rho reflects onto rho with sign -1
+def _fake_power(monkeypatch, weights):
+    """An A1 weight system whose exterior powers are those of a made-up
+    'character' with the given weights: degree 1 is that character itself."""
     a1 = _rs("A1")
-    ws = weight_system(a1, ModuleSpec(((Weight((2,)), 1),)))
-    lowest = Character(a1, {Weight((-2,)): 1})
-    monkeypatch.setattr(homdims, "_power_char", lambda *args: lowest)
+    fake = Character(a1, {Weight(w): 1 for w in weights})
+    monkeypatch.setattr(homdims, "_power_char", lambda ws, kind: homdims._Powers(fake, True))
+    return weight_system(a1, ModuleSpec(((Weight((2,)), 1),)))
+
+
+def test_brauer_klimyk_rejects_a_non_character(monkeypatch):
+    # a lone lowest weight: -2 + rho reflects onto rho with sign -1. One weight
+    # against |W| = 2 picks the support side.
+    ws = _fake_power(monkeypatch, [(-2,)])
+    zero = Weight((0,))
+    module, powers = homdims._module_char(ws), homdims._power_char(ws, "ext")
+    assert homdims._support_side(module, powers, zero, zero, 1) == -1
     with pytest.raises(VirtualCharacterError):
-        homdims._constituents.__wrapped__(ws, Weight((0,)), 1, "ext")
+        homdims._constituents.__wrapped__(ws, zero, zero, 1, "ext")
+
+
+def test_racah_speiser_rejects_a_non_character(monkeypatch):
+    # the lowest weight and a singular one (-1 + rho = 0): two weights against
+    # |W| = 2 picks the orbit side, where rho - rho - rho = -2 comes with sign -1
+    ws = _fake_power(monkeypatch, [(-2,), (-1,)])
+    zero = Weight((0,))
+    layer = homdims._power_char(ws, "ext").layer(1)
+    assert homdims._orbit_side(homdims._module_char(ws), layer, zero, zero) == -1
+    with pytest.raises(VirtualCharacterError):
+        homdims._constituents.__wrapped__(ws, zero, zero, 1, "ext")
 
 
 # The adjoints of LP_TYPES, and the A2 module V(omega_1) + V(omega_2).
