@@ -57,7 +57,7 @@ def _load_root_system(arg: str):
         return root_system(m.group(1).upper(), int(m.group(2)))
     path = Path(arg)
     if path.exists():
-        return build_root_system(datum_from_json(json.loads(path.read_text(encoding="utf-8"))))
+        return build_root_system(datum_from_json(path.read_text(encoding="utf-8")))
     raise CliParseError(f"{arg!r} is neither a series type like 'A2' nor an existing file")
 
 

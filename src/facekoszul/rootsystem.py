@@ -279,7 +279,10 @@ def series_datum(letter: str, rank: int) -> CartanDatum:
 def datum_from_json(obj) -> CartanDatum:
     """Parse {"rank": n, "cartan": [[...]], "symmetrizer": [...]} or {"type": "A", "rank": 2}."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except (ValueError, RecursionError) as exc:
+            raise CartanDatumError(f"Cartan datum is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise CartanDatumError("Cartan datum JSON must be an object")
     try:
@@ -287,7 +290,7 @@ def datum_from_json(obj) -> CartanDatum:
         if "type" not in obj:
             cartan = [[int(x) for x in row] for row in obj["cartan"]]
             sym = [int(x) for x in obj["symmetrizer"]] if "symmetrizer" in obj else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CartanDatumError(f"malformed Cartan datum JSON: {exc}") from exc
     if "type" in obj:
         return series_datum(str(obj["type"]), rank)

@@ -2,8 +2,10 @@
 
 Two partial orders live here. The coarse one steps through arbitrary weights
 of V, one per degree; the fine one steps only through a face subset, where the
-certificate forces the number of steps, turning membership in the subset's
-nonnegative span into a bounded dynamic program. The forced number is
+certificate forces the number of steps. Both ask one question: is delta a sum
+of exactly k generators? One layered path search answers it: layers of k-fold
+generator sums from 0, pruned by a coordinate box around delta, then swept back
+from delta, so an interval reads its points off the layers. The forced number is
 <functional, nu - mu>, evaluated in integers as one dot product with the
 face's pairing row and a divisibility test by its denominator; the face order
 compares it with the degree gap before it searches.
@@ -12,7 +14,7 @@ compares it with the degree gap before it searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul, sub
+from operator import add, le, mul, sub
 
 from .errors import FaceCertificateError, IncomparableError
 from .facegeom import FaceSubset, WeightSystem
@@ -85,77 +87,77 @@ class GradedSet:
         return p in self.points
 
 
-# Memo for the bounded decomposition DP, keyed by (target, steps, generators).
+# Memo for the order tests: (delta, steps, generators) -> whether delta is a sum
+# of exactly `steps` generators, one entry per query answered.
 _DP: dict[tuple, bool] = {}
 
 
-def _decomposable(delta: tuple[int, ...], steps: int, gens: tuple[Weight, ...]) -> bool:
-    """Can delta be written as a sum of exactly `steps` generators (with repetition)?
+def _forward_layers(delta, steps: int, gens) -> list[set[tuple[int, ...]]]:
+    """Sums of k generators from 0, for k = 0..steps, kept while delta is in reach.
 
-    A depth-first search with an explicit stack, so the depth is not bounded by
-    the interpreter's recursion limit. A call whose (delta, steps) is already
-    in _DP returns the memoized value at once. A node (delta, steps) fails when
-    delta leaves the box steps * [min, max] of the generator coordinates;
-    otherwise its children delta - g are tried in generator order until one
-    succeeds, and the node's value is memoized in _DP.
+    A sum t stays in layer k only while delta - t lies in the box
+    (steps - k) * [min, max] of the generator coordinates, built once per call.
+    The last layer is then {delta}; the result is empty when delta is not a sum
+    of exactly `steps` generators (with repetition).
     """
-    if steps == 0:
-        return not any(delta)
-    value = _DP.get((delta, steps, gens))
-    if value is not None:
-        return value
-    bounds = [(min(c), max(c)) for c in zip(*gens)]
+    lo = [min(c) for c in zip(*gens)]
+    hi = [max(c) for c in zip(*gens)]
+    low = [d - steps * h for d, h in zip(delta, hi)]
+    high = [d - steps * m for d, m in zip(delta, lo)]
+    layers = []
+    layer = {(0,) * len(delta)}
+    for _ in range(steps + 1):
+        layer = {t for t in layer if all(map(le, low, t)) and all(map(le, t, high))}
+        if not layer:
+            return []
+        layers.append(layer)
+        layer = {tuple(map(add, t, g)) for t in layer for g in gens}
+        low = list(map(add, low, hi))
+        high = list(map(add, high, lo))
+    return layers
 
-    def settled(d, s):
-        """The value of node (d, s) if known without expanding it, else None."""
-        if s == 0:
-            return not any(d)
-        for x, (lo, hi) in zip(d, bounds):
-            if not s * lo <= x <= s * hi:
-                return False
-        return _DP.get((d, s, gens))
 
-    value = settled(delta, steps)
-    if value is not None:
-        return value
-    stack = [[tuple(delta), steps, 0]]  # node plus the index of its next child
-    while stack:
-        frame = stack[-1]
-        d, s, i = frame
-        if value or i == len(gens):
-            _DP[(d, s, gens)] = value = bool(value)
-            stack.pop()
-            continue
-        frame[2] = i + 1
-        child = tuple(map(sub, d, gens[i]))
-        value = settled(child, s - 1)
-        if value is None:
-            stack.append([child, s - 1, 0])
+def _path_layers(delta, steps: int, gens) -> list[set[tuple[int, ...]]]:
+    """Layer k holds the sums of k generators on some path of `steps` steps from 0 to delta.
+
+    The forward layers, then a backward sweep from delta that keeps the sums
+    with a successor still on a path. Empty when delta is no such sum.
+    """
+    layers = _forward_layers(delta, steps, gens)
+    for k in range(len(layers) - 2, -1, -1):
+        layers[k] &= {tuple(map(sub, t, g)) for t in layers[k + 1] for g in gens}
+    return layers
+
+
+def _decomposable(delta, steps: int, gens: tuple[Weight, ...]) -> bool:
+    """Is delta a sum of exactly `steps` generators? Memoized in _DP."""
+    key = (delta, steps, gens)
+    value = _DP.get(key)
+    if value is None:
+        value = _DP[key] = bool(_forward_layers(delta, steps, gens))
     return value
 
 
 def _forced_length(face: FaceSubset, delta) -> int | None:
-    """<functional, delta> if it is a positive integer, else None: one integer
+    """<functional, delta> if it is a nonnegative integer, else None: one integer
     dot product with the face's pairing row and a divisibility test."""
+    if face.functional is None:
+        raise FaceCertificateError("face subset carries no certificate")
     num = sum(map(mul, face.pair_row, delta))
     den = face.pair_den
-    return num // den if num > 0 and num % den == 0 else None
+    return num // den if num >= 0 and num % den == 0 else None
 
 
 def face_distance(face: FaceSubset, mu, nu) -> int | None:
     """Length of a decomposition of nu - mu in the face subset, or None.
 
     The certificate pins the only possible length to <functional, nu - mu>,
-    so a single exact-depth search decides membership.
+    so a single exact-length search decides membership.
     """
-    if face.functional is None:
-        raise FaceCertificateError("face subset carries no certificate")
-    rank = len(face.pair_row)
+    rank = face.ws.rs.rank
     if len(mu) != rank or len(nu) != rank:
         raise ValueError(f"face_distance needs two weights of rank {rank}")
     delta = tuple(map(sub, nu, mu))
-    if not any(delta):
-        return 0
     d = _forced_length(face, delta)
     return d if d is not None and _decomposable(delta, d, face.gens) else None
 
@@ -175,12 +177,7 @@ def _all_gens(ws: WeightSystem) -> tuple[Weight, ...]:
 
 def graded_leq(ws: WeightSystem, p: GradedWeight, q: GradedWeight) -> bool:
     """The coarse order: the degree gap counts steps through arbitrary weights of V."""
-    gap = q.degree - p.degree
-    if gap < 0:
-        return False
-    if gap == 0:
-        return p.weight == q.weight
-    return _decomposable(q.weight - p.weight, gap, _all_gens(ws))
+    return _decomposable(q.weight - p.weight, q.degree - p.degree, _all_gens(ws))
 
 
 def face_graded_leq(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> bool:
@@ -188,46 +185,35 @@ def face_graded_leq(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> bool:
 
     The forced length is compared with the degree gap before any search runs.
     """
-    if face.functional is None:
-        raise FaceCertificateError("face subset carries no certificate")
     gap = q.degree - p.degree
     delta = tuple(map(sub, q.weight, p.weight))
-    if not any(delta):
-        return gap == 0
     return _forced_length(face, delta) == gap and _decomposable(delta, gap, face.gens)
 
 
-def _layered_points(p: GradedWeight, q: GradedWeight, gens, reaches) -> set[GradedWeight]:
-    """Dominant points on the paths from p up to q in steps from gens, by pruned layer BFS.
+def _layered_points(p: GradedWeight, q: GradedWeight, gens) -> set[GradedWeight]:
+    """Dominant points on the paths from p up to q in steps from gens; empty if there are none.
 
-    Layers walk through possibly non-dominant weights (they are legitimate
-    stepping stones); only dominant ones become points. `reaches(w, k)` says
-    whether q.weight is k steps above w, and a layer keeps a weight only if
-    the top is still reachable in the remaining steps, which preserves every
-    path: predecessors of valid weights are valid.
+    Paths walk through possibly non-dominant weights (they are legitimate
+    stepping stones); only dominant ones become points.
     """
-    d = q.degree - p.degree
-    out: set[GradedWeight] = set()
-    layer = {p.weight}
-    for k in range(d + 1):
-        out.update(GradedWeight(w, p.degree + k) for w in layer if w.is_dominant)
-        if k == d:
-            break
-        remaining = d - k - 1
-        layer = {w for w in {u + g for u in layer for g in gens} if reaches(w, remaining)}
-    return out
+    layers = _path_layers(tuple(map(sub, q.weight, p.weight)), q.degree - p.degree, gens)
+    return {GradedWeight(w, p.degree + k) for k, layer in enumerate(layers)
+            for w in (tuple(map(add, p.weight, t)) for t in layer) if min(w) >= 0}
 
 
-def _interval_points(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> set[GradedWeight]:
-    """Dominant points between p and q in the face order."""
-    return _layered_points(p, q, face.gens, lambda w, k: face_distance(face, w, q.weight) == k)
+def _face_points(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> set[GradedWeight]:
+    """Dominant points between p and q in the face order; empty if p is not below q."""
+    if _forced_length(face, tuple(map(sub, q.weight, p.weight))) != q.degree - p.degree:
+        return set()
+    return _layered_points(p, q, face.gens)
 
 
 def face_interval(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> GradedSet:
     """The finite interval [p, q] in the face order; interval-closed by construction."""
-    if not face_graded_leq(face, p, q):
+    points = _face_points(face, p, q)
+    if not points:
         raise IncomparableError(f"{p} and {q} are not comparable in the face order")
-    return GradedSet(face, tuple(_interval_points(face, p, q)), True)
+    return GradedSet(face, tuple(points), True)
 
 
 def face_downset(face: FaceSubset, q: GradedWeight, max_depth: int) -> GradedSet:
@@ -251,24 +237,17 @@ def face_downset(face: FaceSubset, q: GradedWeight, max_depth: int) -> GradedSet
 def is_interval_closed(face: FaceSubset, points) -> bool:
     """Every interval between comparable members stays inside the set."""
     pts = set(points)
-    for p in pts:
-        for q in pts:
-            if p is not q and p.degree < q.degree and face_graded_leq(face, p, q):
-                if not _interval_points(face, p, q) <= pts:
-                    return False
-    return True
+    return all(_face_points(face, p, q) <= pts for p in pts for q in pts if p.degree < q.degree)
 
 
 def interval_coincidence(face: FaceSubset, p: GradedWeight, q: GradedWeight) -> bool:
     """Compare the face interval with the coarse interval between the same endpoints.
 
-    The coarse interval runs the same layered BFS, but steps through all
-    weights of V and prunes by coarse reachability, with no face certificate
-    involved. Equality is a theorem for certified face subsets, so False
-    flags an implementation bug.
+    The coarse interval comes from the same layered path search, stepping
+    through all weights of V with no face certificate involved. Equality is a
+    theorem for certified face subsets, so False flags an implementation bug.
     """
-    if not face_graded_leq(face, p, q):
+    fine = _face_points(face, p, q)
+    if not fine:
         raise IncomparableError(f"{p} and {q} are not comparable in the face order")
-    gens = _all_gens(face.ws)
-    coarse = _layered_points(p, q, gens, lambda w, k: _decomposable(q.weight - w, k, gens))
-    return _interval_points(face, p, q) == coarse
+    return fine == _layered_points(p, q, _all_gens(face.ws))

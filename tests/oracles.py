@@ -2,15 +2,19 @@
 
 The exact linear algebra here is a private Fraction copy (Gauss-Jordan, null
 space, affine solve, affine coordinates, inverse Cartan matrix), so the
-oracles share none of the package's integer elimination code.
+oracles share none of the package's integer elimination code. Sums of exactly
+k generators are decided by a depth-first search with its own node memo, so
+the face-order oracles share nothing with the package's layered path search.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
+from operator import sub
 
 from facekoszul import (
     Character,
+    GradedWeight,
     Weight,
     adams,
     decompose,
@@ -19,7 +23,6 @@ from facekoszul import (
     to_dominant_signed,
 )
 from facekoszul.errors import FaceCertificateError, VirtualCharacterError
-from facekoszul.weightposet import _decomposable
 
 
 def _rref(rows, ncols):
@@ -306,4 +309,83 @@ def face_distance_fraction(face, mu, nu):
     if val.denominator != 1 or val <= 0:
         return None
     d = int(val)
-    return d if _decomposable(delta, d, face.gens) else None
+    return d if decomposable_dfs(delta, d, face.gens) else None
+
+
+# Node memo of the depth-first search below: (delta, steps, generators) -> bool.
+_DFS_MEMO: dict = {}
+
+
+def decomposable_dfs(delta, steps, gens):
+    """Is delta a sum of exactly `steps` generators (with repetition)? The
+    depth-first search the face order used before its layered path search.
+
+    An explicit stack, so the depth is not bounded by the recursion limit. A
+    node (delta, steps) fails when delta leaves the box steps * [min, max] of
+    the generator coordinates; otherwise its children delta - g are tried in
+    generator order until one succeeds. Every node's value is memoized.
+    """
+    delta = tuple(delta)
+    if steps <= 0:
+        return steps == 0 and not any(delta)
+    bounds = [(min(c), max(c)) for c in zip(*gens)]
+
+    def settled(d, s):
+        """The value of node (d, s) if known without expanding it, else None."""
+        if s == 0:
+            return not any(d)
+        for x, (lo, hi) in zip(d, bounds):
+            if not s * lo <= x <= s * hi:
+                return False
+        return _DFS_MEMO.get((d, s, gens))
+
+    value = settled(delta, steps)
+    if value is not None:
+        return value
+    stack = [[delta, steps, 0]]  # node plus the index of its next child
+    while stack:
+        frame = stack[-1]
+        d, s, i = frame
+        if value or i == len(gens):
+            _DFS_MEMO[(d, s, gens)] = value = bool(value)
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        child = tuple(map(sub, d, gens[i]))
+        value = settled(child, s - 1)
+        if value is None:
+            stack.append([child, s - 1, 0])
+    return value
+
+
+def _layered_points_dfs(p, q, gens, reaches):
+    """Dominant points on the paths from p up to q: a layer BFS that keeps a
+    weight w only while reaches(w, k) says q is k steps above it."""
+    d = q.degree - p.degree
+    out = set()
+    layer = {p.weight}
+    for k in range(d + 1):
+        out.update(GradedWeight(w, p.degree + k) for w in layer if w.is_dominant)
+        if k == d:
+            break
+        remaining = d - k - 1
+        layer = {w for w in {u + g for u in layer for g in gens} if reaches(w, remaining)}
+    return out
+
+
+def face_interval_dfs(face, p, q):
+    """The face interval [p, q] as a set of points, empty when p is not below
+    q: the forced length through the Fraction pairing, then one search per
+    candidate weight."""
+    if face_distance_fraction(face, p.weight, q.weight) != q.degree - p.degree:
+        return set()
+    return _layered_points_dfs(
+        p, q, face.gens, lambda w, k: face_distance_fraction(face, w, q.weight) == k)
+
+
+def coarse_interval_dfs(gens, p, q):
+    """The interval [p, q] in steps through gens, empty when p is not below q."""
+    if not decomposable_dfs(Weight(q.weight) - p.weight, q.degree - p.degree, gens):
+        return set()
+    return _layered_points_dfs(
+        p, q, gens, lambda w, k: decomposable_dfs(Weight(q.weight) - w, k, gens))

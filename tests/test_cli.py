@@ -188,6 +188,25 @@ def test_roots_malformed_json_file_exit_2(run, tmp_path, datum):
     run("roots", str(path), expect=2)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        '{"rank": 2, "cartan": [[2, -1], [-1, 2]], "symmetrizer": [1e400, 1]}',
+        '{"rank": 1e400, "cartan": [[2]]}',
+    ],
+    ids=["nested-100000-deep", "symmetrizer-1e400", "rank-1e400"],
+)
+def test_roots_json_past_parser_limits_exit_2(tmp_path, capsys, text):
+    # past json's nesting limit, or a float that int() cannot take: one line, exit 2
+    path = tmp_path / "datum.json"
+    path.write_text(text)
+    code = main(["roots", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_character_json(run):
     obj = _json(run, "character", "A2", "1,1")
     assert obj["dimension"] == 8
@@ -385,6 +404,20 @@ REPORT_SHA256 = {
     ("koszul", "E6", "adjoint", "--face=0,1,0,0,0,0", "--lo=0,0,0,0,0,0@0",
      "--hi=0,2,0,0,0,0@2"):
         "f9fea8a53148dd230a968c6055a0d22bb5358dd9be6f72f1717cd36a72032fd2",
+    # Face-order intervals as the depth-first search with one search per
+    # candidate gave them: a thin 300-step chain in an A3 facet, a 40-step B3
+    # facet interval, an A2 downset, and a gldim report through the
+    # interval-closedness check of its point set.
+    ("interval", "A3", "adjoint", "--face=-2,1,0;-1,-1,1;-1,1,1;0,-1,2",
+     "--lo=0,300,0@0", "--hi=0,0,600@300"):
+        "7708017b34824c9d59f9270eab80b8e7935027d1adaf3050d2a0164902e7e396",
+    ("interval", "B3", "adjoint", "--face=-2,1,0;-1,-1,2;-1,0,0;-1,1,-2;0,-1,0",
+     "--lo=40,0,0@0", "--hi=0,0,0@40"):
+        "f8f3e142550dcaa45f755a1ed72642dc0f6645b4a05bbe86dace3e70c86a58fe",
+    ("interval", "A2", "adjoint", "--face=2,-1;1,1", "--down-from=10,10@10"):
+        "208dc1eed80c23d83957d81f4c6ec040c431197ed73d4ac9b81f05a1cf9c6f1e",
+    ("gldim", "A2", "adjoint", "--face=2,-1;1,1", "--gamma=0,0@0;2,0@1;1,2@1;3,1@2"):
+        "40382c6a6a205f12a0ed9fc96188059a1e91268e5e83e27be5c5ea963604cc12",
 }
 
 

@@ -7,14 +7,17 @@ Fourier-Motzkin elimination without row pruning (also on random integer
 systems), the pairing row as the lcm of a Fraction row, the face distance with
 its pairing in Fraction arithmetic, Gauss-Jordan elimination and the affine
 solve in Fractions, simple-root coordinates through a Fraction inverse Cartan
-matrix, and Freudenthal's recursion deciding each candidate by walking it to
-the dominant chamber. Constituent multiplicities from either side (the
-Racah-Speiser orbit sum and the Brauer-Klimyk support sum, which are also
-compared with each other up to rank 4), the one-pass powers, the integer,
+matrix, Freudenthal's recursion deciding each candidate by walking it to
+the dominant chamber, and the explicit-stack depth-first search for sums of
+exactly k generators, with one search per candidate weight for intervals.
+Constituent multiplicities from either side (the Racah-Speiser orbit sum and
+the Brauer-Klimyk support sum, which are also compared with each other up to
+rank 4), the one-pass powers, the integer,
 pruned face LP and its elimination, the integer pairing row and the face order
 through it, the fraction-free elimination kernel, the integer particular
-solution and null basis, the integer root-cone test and the one-reflection
-Freudenthal recursion must agree with them exactly.
+solution and null basis, the integer root-cone test, the one-reflection
+Freudenthal recursion and the layered path search of the face and coarse
+orders must agree with them exactly.
 """
 
 from fractions import Fraction
@@ -27,10 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import _rref as rref_fraction
 from oracles import (
+    coarse_interval_dfs,
     constituents_by_subtraction,
+    decomposable_dfs,
     expand_power_bruteforce,
     face_distance_fraction,
     face_functional_fraction_rows,
+    face_interval_dfs,
     fm_feasible_point_unpruned,
     freudenthal_dominant_walk,
     in_root_cone_fraction,
@@ -42,6 +48,7 @@ from oracles import (
 )
 
 import facekoszul.homdims as homdims
+import facekoszul.weightposet as weightposet
 from facekoszul import (
     Character,
     GradedWeight,
@@ -51,6 +58,8 @@ from facekoszul import (
     exterior_power,
     face_distance,
     face_graded_leq,
+    face_interval,
+    interval_coincidence,
     is_rigid_bruteforce,
     lies_on_proper_face,
     module_character,
@@ -61,7 +70,7 @@ from facekoszul import (
 )
 from facekoszul.characters import _freudenthal
 from facekoszul.cli import _adjoint_spec
-from facekoszul.errors import VirtualCharacterError
+from facekoszul.errors import IncomparableError, VirtualCharacterError
 from facekoszul.facegeom import FaceSubset, _fm_feasible_point, _pairing_row, _solve_equalities
 from facekoszul.rootsystem import _rref, datum_from_json
 
@@ -297,6 +306,70 @@ PAIR_TYPES = ("A2", "B3", "D4", "G2", "F4")
 def _adjoint_ws(name):
     rs = _rs(name)
     return weight_system(rs, _adjoint_spec(rs))
+
+
+POSET_TYPES = ("A2", "B2", "G2", "A3")
+ORDER_CASES = ("walk", "walk", "walk", "thin", "thin", "same", "off-by-one", "swap",
+               "zero-delta", "negative-gap", "fraction")
+
+
+@lru_cache(maxsize=None)
+def _adjoint_faces(name):
+    return enumerate_face_subsets(_adjoint_ws(name))
+
+
+@PROPERTY
+@given(data=st.data(), name=st.sampled_from(POSET_TYPES), case=st.sampled_from(ORDER_CASES))
+def test_path_search_matches_dfs_oracle(data, name, case):
+    ws = _adjoint_ws(name)
+    rank = ws.rs.rank
+    face = data.draw(st.sampled_from(_adjoint_faces(name)))
+    every = tuple(w for w, _ in ws.weight_items)  # includes the zero weight
+    gens = every if data.draw(st.sampled_from((False, False, True))) else face.gens
+    # thin long chains step through one or two generators of the face
+    pool = gens if case != "thin" else data.draw(
+        st.lists(st.sampled_from(face.gens), min_size=1, max_size=2, unique=True))
+    # long walks for the thin chains and for the targets just off a path
+    lengths = {"same": (0, 0), "zero-delta": (0, 0), "thin": (8, 30), "off-by-one": (1, 12),
+               "swap": (2, 12), "fraction": (1, 12)}
+    shortest, longest = lengths.get(case, (1, 4))
+    steps = data.draw(st.lists(st.sampled_from(pool), min_size=shortest, max_size=longest))
+    delta = sum(steps, Weight((0,) * rank))
+    gap = len(steps)
+    if case == "off-by-one":
+        gap += data.draw(st.sampled_from((-1, 1)))
+    elif case == "swap":
+        # take away a generator the walk never took, add its first step once
+        # more: the same forced length, mostly inside the box, but off every
+        # path unless the generators are affinely dependent
+        unused = [g for g in pool if g not in steps]
+        if unused:
+            delta = delta + steps[0] - data.draw(st.sampled_from(unused))
+    elif case == "zero-delta":
+        gap = data.draw(st.integers(1, 3))
+    elif case == "negative-gap":
+        gap = -data.draw(st.integers(1, 3))
+    elif case == "fraction":
+        # move delta off the lattice where the face functional is an integer
+        off = [i for i in range(rank) if face.pair_row[i] % face.pair_den]
+        if off:
+            delta = delta + Weight(tuple(int(i == off[0]) for i in range(rank)))
+    assert weightposet._decomposable(tuple(delta), gap, gens) == decomposable_dfs(delta, gap, gens)
+
+    # both endpoints shifted into the dominant chamber by the same vector
+    mu = Weight(max(0, -x) + data.draw(st.integers(0, 2)) for x in delta)
+    p = GradedWeight(mu, data.draw(st.integers(-2, 2)))
+    q = GradedWeight(mu + delta, p.degree + gap)
+    fine = face_interval_dfs(face, p, q)
+    if not fine:
+        with pytest.raises(IncomparableError):
+            face_interval(face, p, q)
+        with pytest.raises(IncomparableError):
+            interval_coincidence(face, p, q)
+        return
+    assert set(face_interval(face, p, q).points) == fine
+    if gap <= 4:
+        assert interval_coincidence(face, p, q) == (fine == coarse_interval_dfs(every, p, q))
 
 
 @pytest.mark.parametrize("name", ("A2", "B3", "G2", "F4", "A2 1,0+0,1"))
