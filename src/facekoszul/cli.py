@@ -2,7 +2,9 @@
 
 Exit codes: 0 success/PASS, 1 theorem-level failure (exact identity broken or
 witness not found), 2 parse or input error, 3 interval-closedness or
-comparability precondition, 4 the given subset does not lie on a proper face.
+comparability precondition, 4 the given subset does not lie on a proper face,
+5 internal error (an exact check inside the computation failed, such as a
+certificate re-verification or the global-dimension bound).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
 )
 from .facegeom import enumerate_face_subsets, is_rigid_bruteforce, lies_on_proper_face, weight_system
 from .homdims import gldim, witness_search
-from .koszulcheck import full_report, render_monomial
+from .koszulcheck import _point_json, full_report, render_monomial
 from .rootsystem import Weight, build_root_system, datum_from_json, root_system
 from .weightposet import GradedSet, GradedWeight, face_downset, face_interval
 
@@ -33,6 +35,7 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_INTERVAL = 3
 EXIT_RIGID = 4
+EXIT_INTERNAL = 5
 
 _TYPE_RE = re.compile(r"^([A-Ga-g])(\d+)$")
 # argparse takes '-1,2' for an option flag (only '-1' or '-1.5' pass as numbers)
@@ -143,10 +146,6 @@ def _build_gamma(face, args) -> GradedSet:
     if not (args.lo and args.hi):
         raise CliParseError(needs)
     return face_interval(face, _parse_point(args.lo, rank), _parse_point(args.hi, rank))
-
-
-def _point_json(p: GradedWeight):
-    return [list(p.weight), p.degree]
 
 
 def _fmt_weight(w) -> str:
@@ -383,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("weight", help="dominant weight, e.g. '1,1'")
     add("weights", module=True, help="weight system of a module spec")
     add("faces", module=True, help="all proper faces of the weight polytope")
-    rp = add("rigid", module=True, help="face test vs rigidity brute force")
-    rp.add_argument("--face", required=True, help="weight subset, e.g. '2,-1;1,1'")
-    rp.add_argument("--bound", type=int, default=6)
+    add("rigid", module=True, face=True, help="face test vs rigidity brute force")
     ip = add("interval", module=True, face=True, help="interval or bounded downset")
     ip.add_argument("--lo")
     ip.add_argument("--hi")
@@ -436,6 +433,9 @@ def main(argv=None) -> int:
     except (CliParseError, CartanDatumError, GuardLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.json:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:

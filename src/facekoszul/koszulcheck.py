@@ -6,10 +6,12 @@ packed into two unitriangular matrices. Entry (row, col) is nonzero only when
 col lies below row in the face order, and then it is a monomial of degree
 deg(row) - deg(col). The points are sorted by a linear extension that puts
 lower degrees first, so only entries below the diagonal ask the face order
-(through the face's integer pairing row). Each matrix stores one integer per
-entry, and the product of the Ext matrix at -t with the Hom matrix at t is an
-integer product. It must be the identity. The check is exact, and a failing entry is
-reported as an internal inconsistency, never tolerated.
+(through the face's integer pairing row). Both matrices come from one scan
+that asks it once per pair and reads the Ext and the Hom entry of each
+comparable pair. Each matrix stores one integer per entry, and the product of
+the Ext matrix at -t with the Hom matrix at t is an integer product. It must
+be the identity. The check is exact, and a failing entry is reported as an
+internal inconsistency, never tolerated.
 """
 
 from __future__ import annotations
@@ -90,49 +92,46 @@ class PolyMatrix:
         }
 
 
-def _hilbert(face: FaceSubset, gamma: GradedSet, kind: str, value) -> PolyMatrix:
-    """Unitriangular matrix in gamma's stored order, a linear extension:
-    entry (row, col) is value(col, row) when col < row in the face order, else 0.
+def _hilbert_pair(face: FaceSubset, gamma: GradedSet) -> tuple[PolyMatrix, PolyMatrix]:
+    """The Ext matrix at -t and the Hom matrix, unitriangular in gamma's stored
+    order, a linear extension, from one scan that asks the face order once per
+    pair: when col < row in the face order, entry (row, col) is the signed
+    ext_dim(col, row) in the first and proj_mult(col, row) in the second, else 0.
 
     linear_key sorts by degree first and col < row forces deg col < deg row,
     so every entry above the diagonal is 0 without asking the face order. The
-    power layers of the given kind are built to gamma's degree span first.
+    power layers of both kinds are built to gamma's degree span first.
     """
     if not gamma.interval_closed:
         raise NotIntervalClosedError("Hilbert matrices need an interval-closed set")
     if face.functional is None:
         raise FaceCertificateError("Hilbert matrices need a certified face subset")
-    pts = gamma.points
-    if pts:
-        prepare_powers(face.ws, kind, pts[-1].degree - pts[0].degree)
-
-    def entry(i: int, j: int) -> int:
-        if i <= j:
-            return int(i == j)
-        col, row = pts[j], pts[i]
-        return value(col, row) if face_graded_leq(face, col, row) else 0
-
+    ws, pts = face.ws, gamma.points
     n = len(pts)
-    return PolyMatrix(pts, tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
+    if pts:
+        for kind in ("ext", "sym"):
+            prepare_powers(ws, kind, pts[-1].degree - pts[0].degree)
+    ext = [[int(i == j) for j in range(n)] for i in range(n)]
+    hom = [row[:] for row in ext]
+    for i, row in enumerate(pts):
+        for j, col in enumerate(pts[:i]):
+            if face_graded_leq(face, col, row):
+                m = ext_dim(ws, col, row)
+                ext[i][j] = -m if (row.degree - col.degree) % 2 else m
+                hom[i][j] = proj_mult(ws, col, row)
+    return PolyMatrix(pts, tuple(map(tuple, ext))), PolyMatrix(pts, tuple(map(tuple, hom)))
 
 
 def hilbert_projective(face: FaceSubset, gamma: GradedSet) -> PolyMatrix:
     """Graded Hom dimensions between projective covers: entry (target, source)
     is t^gap times the multiplicity of the target simple in the source cover."""
-    ws = face.ws
-    return _hilbert(face, gamma, "sym", lambda col, row: proj_mult(ws, col, row))
+    return _hilbert_pair(face, gamma)[1]
 
 
 def hilbert_yoneda_neg(face: FaceSubset, gamma: GradedSet) -> PolyMatrix:
     """Graded Ext dimensions between simples, evaluated at -t: entry
     (target, source) is (-t)^gap times dim Ext^gap(source, target)."""
-    ws = face.ws
-
-    def value(col: GradedWeight, row: GradedWeight) -> int:
-        m = ext_dim(ws, col, row)
-        return -m if (row.degree - col.degree) % 2 else m
-
-    return _hilbert(face, gamma, "ext", value)
+    return _hilbert_pair(face, gamma)[0]
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ def verify_koszul_numerical(face: FaceSubset, gamma: GradedSet) -> KoszulVerdict
     report with passed=False means the exact identity failed, which
     contradicts the theorem and therefore flags an implementation bug.
     """
-    return _product_verdict(hilbert_yoneda_neg(face, gamma), hilbert_projective(face, gamma))
+    return _product_verdict(*_hilbert_pair(face, gamma))
 
 
 def _product_verdict(he: PolyMatrix, hb: PolyMatrix) -> KoszulVerdict:
@@ -235,8 +234,7 @@ def full_report(
         raise ArithmeticError(
             f"global dimension {g} exceeded the bound {n}; internal inconsistency"
         )
-    he = hilbert_yoneda_neg(face, gamma)
-    hb = hilbert_projective(face, gamma)
+    he, hb = _hilbert_pair(face, gamma)
     verdict = _product_verdict(he, hb)
     witness = None
     if with_witness:

@@ -418,6 +418,12 @@ REPORT_SHA256 = {
         "208dc1eed80c23d83957d81f4c6ec040c431197ed73d4ac9b81f05a1cf9c6f1e",
     ("gldim", "A2", "adjoint", "--face=2,-1;1,1", "--gamma=0,0@0;2,0@1;1,2@1;3,1@2"):
         "40382c6a6a205f12a0ed9fc96188059a1e91268e5e83e27be5c5ea963604cc12",
+    # Koszul reports on explicit point sets whose Hilbert matrices have zero
+    # entries at face-incomparable pairs with a positive degree gap (3 and 4 of them).
+    ("koszul", "A2", "adjoint", "--face=2,-1;1,1", "--gamma=0,0@0;2,0@1;1,2@1;3,1@2"):
+        "be44851c4d595defa5053deb9f59c22fa380258f89efbea1748274e8ee47802e",
+    ("koszul", "A2", "adjoint", "--face=2,-1;1,1", "--gamma=1,1@0;1,1@2;3,0@1;2,2@2"):
+        "bce4e751976a68ea1f7cbc37ea6eebeed03bdc011824679a7a33d11137459d63",
 }
 
 
@@ -448,6 +454,20 @@ def test_reports_deterministic_across_runs(run):
 
 def test_workers_flag_removed(run):
     run("--workers", "4", "roots", "A1", expect=2)
+
+
+@pytest.mark.parametrize("args", [
+    ("B3", "adjoint", "--face=-2,1,0;-1,0,0;0,-1,0", "--lo=10,2,2@0", "--hi=4,2,2@6"),
+    ("A2", "adjoint", "--face=2,-1;1,1", "--gamma=0,0@0;0,0@3"),
+], ids=["B3-gldim-5-over-3", "A2-gldim-3-over-2"])
+def test_koszul_internal_error_exit_5(args, capsys):
+    # gldim exceeds total_mult: an ArithmeticError inside the report is one
+    # stderr line and exit 5, not a traceback
+    code = main(["koszul", *args])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err.startswith("internal error: global dimension ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["gldim", "koszul"])

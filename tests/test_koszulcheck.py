@@ -215,13 +215,13 @@ def test_render_monomial():
 
 
 def test_cli_reports_fail_with_residual(a2_edge, monkeypatch, capsys):
-    build = koszulcheck.hilbert_projective
+    build = koszulcheck._hilbert_pair
 
     def broken(face, gamma):
-        hb = build(face, gamma)
-        return _perturbed(hb, len(hb.index) - 1, 0, 2)
+        he, hb = build(face, gamma)
+        return he, _perturbed(hb, len(hb.index) - 1, 0, 2)
 
-    monkeypatch.setattr(koszulcheck, "hilbert_projective", broken)
+    monkeypatch.setattr(koszulcheck, "_hilbert_pair", broken)
     argv = ["--no-cache", "koszul", "A2", "adjoint", "--face=2,-1;1,1", "--lo=0,0@0", "--hi=6,0@4"]
     assert main(argv) == 1
     assert capsys.readouterr().out.splitlines() == [
@@ -232,3 +232,18 @@ def test_cli_reports_fail_with_residual(a2_edge, monkeypatch, capsys):
     assert main(["--json", *argv]) == 1
     bad = json.loads(capsys.readouterr().out)["koszul"]["offending"]
     assert bad == {"row": [[6, 0], 4], "col": [[0, 0], 0], "residual": [0, 0, 0, 0, 2]}
+
+
+def test_report_asks_the_face_order_once_per_pair(a2_edge, monkeypatch):
+    iv = face_interval(a2_edge, GradedWeight(Weight((0, 0)), 0), GradedWeight(Weight((30, 0)), 20))
+    calls = []
+    leq = koszulcheck.face_graded_leq
+
+    def counted(face, p, q):
+        calls.append((p, q))
+        return leq(face, p, q)
+
+    monkeypatch.setattr(koszulcheck, "face_graded_leq", counted)
+    assert full_report(a2_edge, iv).verdict.passed
+    n = len(iv)
+    assert n == 66 and len(calls) == len(set(calls)) == n * (n - 1) // 2
