@@ -357,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
     p.add_argument("--cache-dir", default=None, help="accepted for compatibility; does nothing")
-    p.add_argument("--no-cache", action="store_true",
-                   help="accepted for compatibility; does nothing")
     p.add_argument("--max-depth", type=int, default=6, help="depth bound for downsets")
     p.add_argument("--max-k", type=int, default=6, help="search bound for the witness weight")
     sub = p.add_subparsers(dest="command", required=True)

@@ -6,11 +6,11 @@ wt(V). Its rows are the weights' integer pairing rows, built once per weight
 system; the fraction-free kernel `rootsystem._rref` solves the equalities, so
 the particular solution is integers over one denominator, the null basis is
 integer, and Fourier-Motzkin elimination runs on integers, each stage pruned
-to one row per primitive direction and the tightest bound. The certificate is
-re-verified in integers through its pairing row. Rigidity of weight
-decompositions is checked by guarded, bounded exhaustive enumeration, to be
-played against the LP in tests. Face enumeration takes facets from integer
-normals (signed minors) and lower faces as intersections of facets.
+to one row per primitive direction and the tightest bound, and guarded in its
+row pairs. The certificate is re-verified in integers through its pairing row.
+Rigidity of weight decompositions is checked by guarded, bounded exhaustive
+enumeration, to be played against the LP in tests. Face enumeration takes
+facets from integer normals (`_null_basis`) and lower faces as intersections.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import mul
 
 from .characters import ModuleSpec, module_character
 from .errors import GuardLimitError
-from .rootsystem import RootSystem, Weight, _det, _rref
+from .rootsystem import RootSystem, Weight, _null_basis, _rref
 
 __all__ = [
     "WeightSystem",
@@ -137,21 +137,13 @@ def _pairing_row(rs: RootSystem, beta) -> tuple[int, ...]:
 def _solve_equalities(eqs: list[tuple[tuple[int, ...], int]], n: int):
     """Exact affine solve of integer c . x = r: (D*P, D, integer null basis) with
     D the least common denominator of the particular solution P, or None if
-    inconsistent. The null space of [c | -r] gets one vector per free column,
-    scaled to clear denominators; the last one, column n's, is (D*P, D).
+    inconsistent. The `_null_basis` of [c | -r] has one vector per free column;
+    the last one, column n's, is (D*P, D).
     """
     rows, pivots = _rref([[*c, -r] for c, r in eqs], n + 1)
     if n in pivots:
         return None
-    null = []
-    for fc in (c for c in range(n + 1) if c not in pivots):
-        scale = lcm(*(row[col] // gcd(row[col], row[fc]) for row, col in zip(rows, pivots)))
-        vec = [0] * (n + 1)
-        vec[fc] = scale
-        for row, col in zip(rows, pivots):
-            vec[col] = -row[fc] * scale // row[col]
-        null.append(vec)
-    *basis, (*particular, den) = null
+    *basis, (*particular, den) = _null_basis(rows, pivots, n + 1)
     return particular, den, [vec[:n] for vec in basis]
 
 
@@ -180,6 +172,10 @@ def _primitive_rows(rows) -> dict[tuple[int, ...], tuple[int, int]] | None:
     return out
 
 
+# Most row pairs one Fourier-Motzkin stage may combine (E6 adjoint: 15 627; E7: 619 369).
+FM_COMBINATIONS = 200_000
+
+
 def _fm_feasible_point(ineqs: list[tuple[list[int], int]], n: int):
     """Fourier-Motzkin feasibility for integer coeffs . z <= rhs; returns a point or None.
 
@@ -189,7 +185,8 @@ def _fm_feasible_point(ineqs: list[tuple[list[int], int]], n: int):
     direction only yields looser combinations, so every stage keeps the same
     (direction, tightest bound) pairs as unpruned elimination and the
     back-substituted point, the one rational step, is the same. With n = 0
-    the point is [] or None.
+    the point is [] or None. A stage that would combine more than
+    FM_COMBINATIONS row pairs raises GuardLimitError.
     """
     cur = _primitive_rows((coeffs, rhs, 1) for coeffs, rhs in ineqs)
     stages: list[dict[tuple[int, ...], tuple[int, int]]] = []
@@ -199,6 +196,9 @@ def _fm_feasible_point(ineqs: list[tuple[list[int], int]], n: int):
         stages.append(cur)
         pos = [row for row in cur.items() if row[0][v] > 0]
         neg = [row for row in cur.items() if row[0][v] < 0]
+        if (pairs := len(pos) * len(neg)) > FM_COMBINATIONS:
+            raise GuardLimitError(f"face LP guarded to {FM_COMBINATIONS} Fourier-Motzkin "
+                                  f"row pairs per stage, got {pairs}")
         nxt = [(c, num, den) for c, (num, den) in cur.items() if c[v] == 0]
         for pc, (pn, pd) in pos:
             for nc, (nn, nd) in neg:
@@ -377,10 +377,10 @@ def _proper_faces(pts: list) -> set[frozenset]:
     """All proper nonempty faces of conv(pts), as sets of the points on them.
 
     In integer coordinates inside the affine hull (dimension m), m affinely
-    independent points span the hyperplane whose normal is the vector of
-    signed (m-1)x(m-1) minors of their differences; it supports a facet when
-    every point lies on one side (the scan stops at the first point on the
-    other side). Subsets inside a known facet span that facet again and are
+    independent points span the hyperplane whose normal is the null vector of
+    their m - 1 differences (with fewer than m - 1 pivots they are dependent);
+    it supports a facet when every point lies on one side (the scan stops at
+    the first point on the other side). Subsets inside a known facet span that facet again and are
     skipped. Every proper face is the intersection of the facets that contain
     it, so the lower faces are the nonempty intersections.
     """
@@ -395,9 +395,10 @@ def _proper_faces(pts: list) -> set[frozenset]:
             continue
         base = local[combo[0]]
         diffs = [[a - b for a, b in zip(local[i], base)] for i in combo[1:]]
-        normal = [(-1) ** j * _det([d[:j] + d[j + 1 :] for d in diffs]) for j in range(m)]
-        if not any(normal):
+        rows, pivots = _rref(diffs, m)
+        if len(pivots) < m - 1:
             continue
+        normal = _null_basis(rows, pivots, m)[0]
         level = sum(map(mul, normal, base))
         side = on = 0
         for i, p in enumerate(local):

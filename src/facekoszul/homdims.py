@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .characters import module_character, power_layers
+from .characters import Character, power_layers
 from .errors import (
     IncomparableError,
     NotIntervalClosedError,
@@ -56,7 +56,7 @@ class _Module:
 
     def __init__(self, ws: WeightSystem):
         rs = self.rs = ws.rs
-        self.ch = module_character(rs, ws.spec)
+        self.ch = Character(rs, ws.weights)
         # Kostant: |W| is the product over positive roots of (ht + 1) / ht,
         # ht the sum of the simple-root coordinates dot(inv_cartan[i], alpha) / inv_den.
         col_sums = [sum(col) for col in zip(*rs.inv_cartan)]

@@ -76,8 +76,9 @@ def _rref(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan on the first ncols columns of integer rows;
     later columns ride along.
 
-    The package's one exact-elimination kernel: the inverse Cartan matrix here,
-    affine solves and hull coordinates in facegeom. As in Bareiss, rows combine
+    The package's one exact-elimination kernel: here the inverse Cartan matrix,
+    the symmetrizer and the finite-type test; in facegeom affine solves, hull
+    coordinates and facet normals. As in Bareiss, rows combine
     as pv*row - f*pivot_row, divided by the gcd of their entries; pivots are
     made positive. Every row stays a nonzero multiple of the Fraction one, so
     pivot row i divided by its pivot is row i of the reduced echelon form.
@@ -106,6 +107,20 @@ def _rref(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
+def _null_basis(rows, pivots, n: int) -> list[list[int]]:
+    """Integer null basis of `_rref` output over its first n columns: per free
+    column, in order, the primitive vector positive in that column."""
+    null = []
+    for fc in (c for c in range(n) if c not in pivots):
+        scale = lcm(*(row[col] // gcd(row[col], row[fc]) for row, col in zip(rows, pivots)))
+        vec = [0] * n
+        vec[fc] = scale
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[fc] * scale // row[col]
+        null.append(vec)
+    return null
+
+
 def _cone_coords(inv_rows, den: int, w) -> list[int] | None:
     """Simple-root coordinates dot(inv_rows[i], w) / den of w if w is in Q+, else None;
     one divmod per coordinate tests its sign and its divisibility."""
@@ -118,61 +133,31 @@ def _cone_coords(inv_rows, den: int, w) -> list[int] | None:
     return coords
 
 
-def _det(mat) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free elimination.
-
-    Every division is exact, so the entries stay integers throughout.
-    """
-    a = [list(row) for row in mat]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
-
-
-def _leading_minors_positive(sym: list[list[int]]) -> bool:
-    """Sylvester criterion on an integer symmetric matrix, exactly."""
-    return all(_det([row[:k] for row in sym[:k]]) > 0 for k in range(1, len(sym) + 1))
-
-
 def _minimal_symmetrizer(cartan: list[list[int]]) -> list[int]:
-    """Smallest positive integers d with d_i a_ij = d_j a_ji, per component."""
+    """Smallest positive integers d with d_i a_ij = d_j a_ji, per component.
+
+    The sum of the `_null_basis` of one row d_i a_ij - d_j a_ji = 0 per linked
+    pair. Elimination only combines rows sharing a column, so it never mixes
+    components of the link graph, and a connected component fixes every ratio
+    d_j / d_i: a symmetrizable one contributes one primitive vector, positive
+    on it (its ratios are positive) and zero elsewhere. A component with no
+    null vector leaves zeros, a negative ratio a negative entry.
+    """
     n = len(cartan)
     if any(len(row) != n for row in cartan):
         raise CartanDatumError(f"need a square Cartan matrix, got {n} rows of other lengths")
-    ratio: list[Fraction | None] = [None] * n
-    for start in range(n):
-        if ratio[start] is not None:
-            continue
-        ratio[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i == j or (cartan[i][j] == 0 and cartan[j][i] == 0):
-                    continue
-                if cartan[i][j] == 0 or cartan[j][i] == 0:
-                    raise CartanDatumError("Cartan matrix is not symmetrizable")
-                want = ratio[i] * Fraction(cartan[i][j], cartan[j][i])
-                if ratio[j] is None:
-                    ratio[j] = want
-                    stack.append(j)
-                elif ratio[j] != want:
-                    raise CartanDatumError("Cartan matrix is not symmetrizable")
-    den = lcm(*(r.denominator for r in ratio))
-    ints = [int(r * den) for r in ratio]
-    g = gcd(*ints)
-    return [v // g for v in ints]
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = cartan[i][j], cartan[j][i]
+            if (a == 0) != (b == 0):
+                raise CartanDatumError("Cartan matrix is not symmetrizable")
+            if a:
+                rows.append([a if k == i else -b if k == j else 0 for k in range(n)])
+    d = [sum(col) for col in zip(*_null_basis(*_rref(rows, n), n))]
+    if len(d) < n or any(x <= 0 for x in d):
+        raise CartanDatumError("Cartan matrix is not symmetrizable")
+    return d
 
 
 @dataclass(frozen=True)
@@ -202,8 +187,12 @@ class CartanDatum:
                     raise CartanDatumError(f"zero pattern broken at ({i},{j})")
                 if d[i] * a[i][j] != d[j] * a[j][i]:
                     raise CartanDatumError("symmetrizer does not symmetrize the matrix")
-        sym = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
-        if not _leading_minors_positive(sym):
+        # Kac, Infinite-dimensional Lie algebras, Thm 4.3: an indecomposable GCM
+        # is of finite type iff A u = (1, ..., 1) has a solution u > 0, and then
+        # A is invertible; so this holds block by block for any A. `_rref`
+        # keeps pivots positive: u_i > 0 iff row i ends positive.
+        rows, pivots = _rref([[*row, 1] for row in a], n)
+        if len(pivots) < n or any(row[n] <= 0 for row in rows):
             raise CartanDatumError("symmetrized matrix is not positive definite (not finite type)")
 
     @property

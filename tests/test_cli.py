@@ -247,7 +247,7 @@ def test_negative_values_after_a_space(run, capsys):
     assert spaced == joined
     assert json.loads(spaced)["face"]
     # the point reaches the parser, which names the real problem
-    code = main(["--no-cache", "interval", "A2", "adjoint", "--face", "-1,2",
+    code = main(["interval", "A2", "adjoint", "--face", "-1,2",
                  "--lo", "-1,2@0", "--hi", "0,3@1"])
     assert code == 2
     assert "dominant" in capsys.readouterr().err
@@ -351,7 +351,7 @@ def test_koszul_non_face_exit_4(run, capsys):
     assert "counterexample" in err
 
 
-# sha256 of `--json --no-cache` stdout, as produced by the Fraction equality
+# sha256 of `--json` stdout, as produced by the Fraction equality
 # solve and Fraction hull coordinates: face enumeration on rank-3 and rank-4
 # adjoints, and the single-weight LP rungs that once blew up Fourier-Motzkin.
 REPORT_SHA256 = {
@@ -429,7 +429,7 @@ REPORT_SHA256 = {
 
 @pytest.mark.parametrize("args", sorted(REPORT_SHA256), ids=" ".join)
 def test_reports_byte_identical(args, capsys):
-    code = main(["--json", "--no-cache", *args])
+    code = main(["--json", *args])
     out = capsys.readouterr().out.encode()
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[args]
@@ -438,7 +438,7 @@ def test_reports_byte_identical(args, capsys):
 def test_koszul_non_face_past_rigidity_guard_exit_4(capsys):
     # The A4 adjoint has 21 weights: the default --bound 6 is past the brute
     # force's guard, so the LP's verdict stands without a counterexample.
-    code = main(["--no-cache", "koszul", "A4", "adjoint", "--face=1,0,0,1;-1,0,0,-1",
+    code = main(["koszul", "A4", "adjoint", "--face=1,0,0,1;-1,0,0,-1",
                  "--lo=0,0,0,0@0", "--hi=1,0,0,1@1"])
     assert code == 4
     assert capsys.readouterr().err == "error: subset does not lie on a proper face\n"
@@ -454,6 +454,25 @@ def test_reports_deterministic_across_runs(run):
 
 def test_workers_flag_removed(run):
     run("--workers", "4", "roots", "A1", expect=2)
+
+
+def test_no_cache_flag_removed(run):
+    run("--no-cache", "roots", "A1", expect=2)
+
+
+def test_face_lp_past_fourier_motzkin_guard_exit_2(capsys):
+    # One E7 adjoint weight: stage 4 would combine 619 369 row pairs.
+    code = main(["rigid", "E7", "adjoint", "--face=1,0,0,0,0,0,0", "--bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: face LP guarded to 200000 Fourier-Motzkin row pairs "
+                            "per stage, got 619369\n")
+
+
+def test_face_lp_below_fourier_motzkin_guard(run):
+    # The E6 adjoint's largest stage combines 15 627 row pairs.
+    obj = _json(run, "rigid", "E6", "adjoint", "--face=0,1,0,0,0,0", "--bound", "1")
+    assert obj["face"] is True
 
 
 @pytest.mark.parametrize("args", [
@@ -505,7 +524,7 @@ def test_console_entrypoint_smoke():
     import sys
 
     r = subprocess.run(
-        [sys.executable, "-m", "facekoszul", "--no-cache", "roots", "A1"],
+        [sys.executable, "-m", "facekoszul", "roots", "A1"],
         capture_output=True,
         text=True,
     )

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -11,6 +12,7 @@ from facekoszul import (
     face_algebra_dim,
     face_graded_leq,
     face_interval,
+    full_report,
     gldim,
     graded_leq,
     irr_character,
@@ -22,6 +24,7 @@ from facekoszul import (
     tensor,
     witness_search,
 )
+from facekoszul import characters, homdims
 from facekoszul.errors import IncomparableError, NotIntervalClosedError, WitnessSearchError
 
 
@@ -187,3 +190,20 @@ def test_ext_between_common_minimum_points_implies_face_order(a2_edge):
         for q in iv:
             if p != q and ext_dim(a2_edge.ws, p, q):
                 assert face_graded_leq(a2_edge, p, q)
+
+
+def test_cold_report_reads_v_from_its_weight_system(a2_edge, monkeypatch):
+    # wt(V) already holds V's character: a report from empty memos runs no
+    # Freudenthal pass for V. Fresh memos are swapped in, so later tests keep
+    # the warm ones.
+    monkeypatch.setattr(characters, "_MEMO", {})
+    for name in ("_module_char", "_power_char", "_constituents"):
+        fresh = lru_cache(maxsize=None)(getattr(homdims, name).__wrapped__)
+        monkeypatch.setattr(homdims, name, fresh)
+    calls = []
+    freudenthal = characters._freudenthal
+    monkeypatch.setattr(characters, "_freudenthal",
+                        lambda rs, lam: calls.append(lam) or freudenthal(rs, lam))
+    report = full_report(a2_edge, face_interval(a2_edge, P((0, 0), 0), P((3, 0), 2)))
+    assert report.verdict.passed
+    assert calls == []

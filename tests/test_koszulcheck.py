@@ -222,7 +222,7 @@ def test_cli_reports_fail_with_residual(a2_edge, monkeypatch, capsys):
         return he, _perturbed(hb, len(hb.index) - 1, 0, 2)
 
     monkeypatch.setattr(koszulcheck, "_hilbert_pair", broken)
-    argv = ["--no-cache", "koszul", "A2", "adjoint", "--face=2,-1;1,1", "--lo=0,0@0", "--hi=6,0@4"]
+    argv = ["koszul", "A2", "adjoint", "--face=2,-1;1,1", "--lo=0,0@0", "--hi=6,0@4"]
     assert main(argv) == 1
     assert capsys.readouterr().out.splitlines() == [
         "gamma: 6 points; total_mult = 2; gldim = 2",

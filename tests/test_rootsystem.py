@@ -1,6 +1,8 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 from oracles import pairing
@@ -17,7 +19,7 @@ from facekoszul import (
     weyl_dim,
 )
 from facekoszul.errors import CartanDatumError
-from facekoszul.rootsystem import _det
+from facekoszul.rootsystem import _minimal_symmetrizer, _null_basis, _rref
 
 CLASSICAL_COUNTS = {
     "A1": 1,
@@ -186,22 +188,111 @@ def _fraction_det(mat):
     return det
 
 
-def test_bareiss_det_matches_fraction_elimination():
+# (a_ij, a_ji) for a linked pair: every off-diagonal pattern of rank-2 finite,
+# affine and hyperbolic type, simple links the most common.
+_LINKS = ((-1, -1),) * 24 + ((-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4), (-2, -3))
+
+
+def _random_gcm(rng, n):
+    # a random forest (often finite) plus a few extra links closing cycles
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for j in range(1, n):
+        if rng.random() < 0.85:
+            i = rng.randrange(j)
+            a[i][j], a[j][i] = rng.choice(_LINKS)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] == 0 and rng.random() < 0.08:
+                a[i][j], a[j][i] = rng.choice(_LINKS)
+    return a
+
+
+def _components(a):
+    seen, count = set(), 0
+    for start in range(len(a)):
+        if start not in seen:
+            count += 1
+            stack = [start]
+            while stack:
+                i = stack.pop()
+                if i not in seen:
+                    seen.add(i)
+                    stack.extend(j for j in range(len(a)) if j != i and a[i][j])
+    return count
+
+
+def test_finite_type_test_agrees_with_sylvester():
+    # Kac's A u = 1, u > 0 test in validate against Sylvester's leading
+    # minors of D A, on random GCMs: trees, cycles, decomposable ones, and
+    # affine and indefinite blocks among them.
     rng = random.Random(20111)
-    for n in range(9):
-        for trial in range(60):
-            # zeros are common, so pivots are often missing and rows swap
-            mat = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
-            if n >= 2 and trial % 3 == 0:
-                # singular: one row becomes a combination of two others
-                i = rng.randrange(n)
-                j, k = (rng.choice([r for r in range(n) if r != i]) for _ in range(2))
-                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-                mat[i] = [a * x + b * y for x, y in zip(mat[j], mat[k])]
-            want = _fraction_det(mat)
-            assert _det(mat) == want
-            if n >= 2 and trial % 3 == 0:
-                assert want == 0
+    seen = {"finite": 0, "infinite": 0, "not symmetrizable": 0}
+    for trial in range(600):
+        a = _random_gcm(rng, 1 + trial % 6)
+        n = len(a)
+        try:
+            d = _minimal_symmetrizer(a)
+        except CartanDatumError as exc:
+            assert "symmetriz" in str(exc)
+            # a forest of negative links is always symmetrizable: a cycle must be there
+            links = sum(a[i][j] != 0 for i in range(n) for j in range(i + 1, n))
+            assert links >= n - _components(a) + 1, a
+            seen["not symmetrizable"] += 1
+            continue
+        sym = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
+        finite = all(_fraction_det([row[:k] for row in sym[:k]]) > 0 for k in range(1, n + 1))
+        seen["finite" if finite else "infinite"] += 1
+        try:
+            datum = datum_from_json({"rank": n, "cartan": a})
+        except CartanDatumError as exc:
+            assert not finite, (a, exc)
+            assert str(exc) == "symmetrized matrix is not positive definite (not finite type)"
+        else:
+            assert finite, a
+            assert datum.symmetrizer == tuple(d)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
+                                  "B6", "C2", "C3", "C4", "C5", "C6", "D3", "D4", "D5", "D6",
+                                  "E6", "E7", "E8", "F4", "G2"])
+def test_minimal_symmetrizer_matches_series(name):
+    datum = series_datum(name[0], int(name[1:]))
+    assert tuple(_minimal_symmetrizer([list(row) for row in datum.cartan])) == datum.symmetrizer
+
+
+def test_minimal_symmetrizer_per_component():
+    # G2 x B2, the B2 block with its short root first: one primitive vector each
+    g2_b2 = [[2, -3, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -2], [0, 0, -1, 2]]
+    assert _minimal_symmetrizer(g2_b2) == [1, 3, 1, 2]
+    assert datum_from_json({"rank": 4, "cartan": g2_b2}).symmetrizer == (1, 3, 1, 2)
+    # with the long root first, B2 is scaled on its own, not with G2: (1, 3, 2, 1)
+    g2_b2 = [[2, -3, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -2, 2]]
+    assert _minimal_symmetrizer(g2_b2) == [1, 3, 2, 1]
+    # isolated nodes are components too
+    assert _minimal_symmetrizer([[2, 0, 0], [0, 2, -1], [0, -1, 2]]) == [1, 1, 1]
+    # a sign clash leaves a negative entry: not symmetrizable, not a ValueError
+    with pytest.raises(CartanDatumError, match="symmetriz"):
+        _minimal_symmetrizer([[2, 1], [-1, 2]])
+    # rank 0 reaches validate's rank check as a CartanDatumError
+    with pytest.raises(CartanDatumError):
+        datum_from_json({"rank": 0, "cartan": []})
+
+
+def test_null_basis_is_primitive_and_spans_the_kernel():
+    rng = random.Random(7)
+    for trial in range(200):
+        n = 1 + trial % 6
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 4)) for _ in range(n)]
+                for _ in range(rng.randrange(n + 1))]
+        red, pivots = _rref(rows, n)
+        null = _null_basis(red, pivots, n)
+        assert len(null) == n - len(pivots)
+        for fc, vec in zip((c for c in range(n) if c not in pivots), null):
+            assert vec[fc] > 0 and gcd(*vec) == 1
+            assert all(sum(map(mul, row, vec)) == 0 for row in rows)
+            # zero in every other free column, so the vectors are independent
+            assert all(vec[c] == 0 for c in range(n) if c not in pivots and c != fc)
 
 
 def test_rejects_non_symmetrizable():
